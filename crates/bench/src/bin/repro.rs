@@ -74,82 +74,42 @@ const ALL: [&str; 17] = [
 /// drift against the previous baseline (informational here — the
 /// *enforcing* comparison is the `perf_gate` test).
 fn run_gate() {
-    use dv_bench::gate;
+    use dv_bench::gate::{self, compare, parse, render, Doc};
+    use dv_bench::host;
     let root = results_dir()
         .parent()
         .map(PathBuf::from)
         .unwrap_or_default();
-    let current = gate::collect();
-    let scaling = gate::collect_scaling();
-    let backward = gate::collect_backward_scaling();
-    let tuner = gate::collect_tuner();
-    let model = gate::collect_model();
-    let old = gate::parse_metrics(gate::COMMITTED_BASELINE).ok();
-    let old_scaling = gate::parse_scaling(gate::COMMITTED_BASELINE).ok();
-    let old_backward = gate::parse_backward_scaling(gate::COMMITTED_BASELINE).ok();
-    let old_tuner = gate::parse_tuner(gate::COMMITTED_BASELINE).ok();
-    let old_model = gate::parse_model(gate::COMMITTED_BASELINE).ok();
-    let doc = gate::to_json(
+    let publish = |bench: &str, doc: String, baseline: &str, now: &Doc, old: Option<Doc>| {
+        let path = root.join(bench);
+        std::fs::write(&path, doc).unwrap_or_else(|e| panic!("write {bench}: {e}"));
+        println!("wrote {}", path.display());
+        let path = root.join("crates/bench/baselines").join(baseline);
+        std::fs::write(&path, render(now)).expect("write committed baseline");
+        println!("refreshed {}", path.display());
+        for r in old.map(|old| compare(now, &old)).unwrap_or_default() {
+            println!("note: vs previous baseline: {r}");
+        }
+    };
+    let current = gate::collect_all();
+    let old = parse(gate::COMMITTED_BASELINE).ok();
+    let bench = match &old {
+        Some(old) => gate::with_vs_baseline(current.clone(), old),
+        None => current.clone(),
+    };
+    publish(
+        "BENCH_pooling.json",
+        render(&bench),
+        "pooling.json",
         &current,
-        &scaling,
-        &backward,
-        &tuner,
-        &model,
-        old.as_deref(),
+        old,
     );
-    let bench_path = root.join("BENCH_pooling.json");
-    std::fs::write(&bench_path, &doc).expect("write BENCH_pooling.json");
-    println!("wrote {}", bench_path.display());
-    let baseline_path = root.join("crates/bench/baselines/pooling.json");
-    std::fs::write(
-        &baseline_path,
-        gate::to_json(&current, &scaling, &backward, &tuner, &model, None),
-    )
-    .expect("write committed baseline");
-    println!("refreshed {}", baseline_path.display());
-    if let Some(old) = old {
-        for r in gate::compare(&current, &old, gate::TOLERANCE) {
-            println!("note: vs previous baseline: {r}");
-        }
-    }
-    if let Some(old) = old_scaling {
-        for r in gate::compare_scaling(&scaling, &old, gate::TOLERANCE) {
-            println!("note: vs previous baseline: {r}");
-        }
-    }
-    if let Some(old) = old_backward {
-        for r in gate::compare_backward_scaling(&backward, &old, gate::TOLERANCE) {
-            println!("note: vs previous baseline: {r}");
-        }
-    }
-    if let Some(old) = old_tuner {
-        for r in gate::compare_tuner(&tuner, &old, gate::TOLERANCE) {
-            println!("note: vs previous baseline: {r}");
-        }
-    }
-    if let Some(old) = old_model {
-        for r in gate::compare_model(&model, &old, gate::TOLERANCE) {
-            println!("note: vs previous baseline: {r}");
-        }
-    }
 
     // Host-throughput companion: measure, refresh `BENCH_host.json` and
     // the committed host baseline, and report drift informationally.
-    use dv_bench::host;
-    let old_host = host::parse_host(host::COMMITTED_HOST_BASELINE).ok();
-    let metrics = host::collect_host();
-    let doc = host::to_host_json(&metrics);
-    let host_path = root.join("BENCH_host.json");
-    std::fs::write(&host_path, &doc).expect("write BENCH_host.json");
-    println!("wrote {}", host_path.display());
-    let host_baseline = root.join("crates/bench/baselines/host.json");
-    std::fs::write(&host_baseline, &doc).expect("write committed host baseline");
-    println!("refreshed {}", host_baseline.display());
-    if let Some(old) = old_host {
-        for r in host::compare_host(&metrics, &old, host::HOST_TOLERANCE) {
-            println!("note: vs previous baseline: {r}");
-        }
-    }
+    let now = host::host_doc(host::collect_host());
+    let old = parse(host::COMMITTED_HOST_BASELINE).ok();
+    publish("BENCH_host.json", render(&now), "host.json", &now, old);
 }
 
 fn main() {

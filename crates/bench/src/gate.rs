@@ -1,67 +1,55 @@
-//! The performance-regression gate.
+//! The cycle gate: one row schema for every tracked number.
 //!
 //! The whole point of this repository is the *cycle counts* — a refactor
 //! that keeps outputs bit-exact but quietly doubles the simulated cycles
 //! of the accelerated kernels has destroyed the artifact without failing
-//! a single functional test. This module replays the paper's Fig. 7 and
-//! Fig. 8 workloads plus the remaining Table I rows, writes the measured
-//! cycles, speedups, and buffer-occupancy peaks to `BENCH_pooling.json`,
-//! and compares them against the committed baseline in
-//! `crates/bench/baselines/pooling.json`: any tracked metric more than
-//! [`TOLERANCE`] worse than the baseline fails the gate (the simulator is
-//! deterministic, so honest changes show up as exact deltas).
+//! a single functional test. This module replays the paper's Fig. 7,
+//! Fig. 8 and Table I workloads, writes what it measured to
+//! `BENCH_pooling.json`, and compares it against the committed baseline
+//! in `crates/bench/baselines/pooling.json`. The simulator is
+//! deterministic, so honest changes show up as exact deltas.
 //!
-//! Every metric carries **both issue models**. The headline columns are
-//! the dual-pipe makespans; the `*_single` columns are the legacy serial
-//! timing — derived from the same run via
-//! [`HwCounters::busy_cycles`](dv_sim::HwCounters::busy_cycles) plus the
-//! per-core dispatch overhead, which reproduces the single-issue model
-//! cycle-for-cycle because per-instruction charges are identical in both
-//! models (the `single_issue_derivation_matches_real_runs` test in
-//! `tests/perf_gate.rs` pins this against actual
-//! `CostModel::single_issue()` executions). Buffer peaks (`ub_peak`,
-//! `l1_peak`) come from [`ChipRun::peaks`], so a lowering change that
-//! silently grows scratchpad footprints fails the gate alongside cycle
-//! regressions.
+//! **One schema.** Every tracked number is a field of a [`Row`]: a key
+//! plus named [`Value`]s (an exact integer, a text choice, or a ratio
+//! rendered to 4 decimals). Rows live in named sections of a [`Doc`],
+//! and one [`render`] / [`parse`] / [`compare`] serves every section of
+//! both this document and the host-throughput one ([`crate::host`]).
+//! `render(&parse(doc)?) == doc` holds byte for byte on both committed
+//! baselines.
 //!
-//! The `*_norename` columns rerun the default (double-buffered)
-//! schedule under [`CostModel::dual_pipe_no_rename`] — the scoreboard
-//! never rotates scratchpad slots and the planner falls back to the
-//! pre-renaming single/ping-pong band layouts. [`collect`] asserts on
-//! every row that the renamed makespan never exceeds this control's;
-//! the per-row `rename_gain` in the JSON is what renaming buys.
+//! **One manifest.** [`checks`] lists every gated (section, field,
+//! [`Policy`], bound); [`compare`] enforces exactly that list and
+//! nothing else. Fields outside it (ratios, controls, denominators) are
+//! written for trending but not gated. A section or field missing from
+//! the baseline is new and passes; a field present with value 0 is a
+//! ceiling of 0.
 //!
-//! The `scaling` section tracks the chip-sharding path: every Fig. 7
-//! shape's Im2col forward under [`PoolingEngine::with_sharding`] at
-//! 1/2/8/32 cores, under both the independent memory model and the
-//! shared-HBM contention stage ([`MemoryModel::ascend910_hbm`]).
-//! [`collect_scaling`] asserts in-run that outputs are bit-identical at
-//! every core count and in both memory models, that speedup is monotone
-//! in the core count, that it stays sub-linear (no free cycles — an
-//! `n`-core run can never beat `1/n` of the serial cycles), and that
-//! contention degrades each core by at most the fair-share factor
-//! `active_cores * per_core_peak / shared_bandwidth`. The per-core-count
-//! cycle columns are then gated against the committed baseline exactly
-//! like the `metrics` rows.
+//! The sections and their collectors, each asserting its own
+//! correctness contract in-run before it returns rows:
 //!
-//! The `tuner` section tracks the algorithm auto-tuner
-//! ([`PoolingEngine::with_auto_tuning`]): per tracked workload, which
-//! algorithm [`choose_forward_algorithm`] / [`choose_backward_algorithm`]
-//! picked, its predicted and measured cycles, and each forced
-//! alternative's measured cycles. [`collect_tuner`] asserts the
-//! prediction-honesty contract in-run — the tuned run never falls back,
-//! never books an uncertified win (`tuner_mispredicted == 0`), is
-//! bit-identical to every forced algorithm, and is never slower than any
-//! of them — and pins the Fig. 8 crossover as tuner *choices*: stride
-//! (1, 1) auto-selects the direct reduction, stride (2, 2) im2col.
-//! [`compare_tuner`] additionally fails the gate when a chosen algorithm
-//! flips against the committed baseline.
+//! * `metrics` ([`collect`]) — every Fig. 7 / Fig. 8 / Table I row:
+//!   standard vs accelerated cycles under the dual-pipe model, the
+//!   derived single-issue model (`*_single`, via
+//!   [`single_issue_cycles`]), double-buffered prefetch (`*_db`) and the
+//!   no-rename control (`*_norename`,
+//!   [`CostModel::dual_pipe_no_rename`]), plus UB/L1 peaks from
+//!   [`ChipRun::peaks`];
+//! * `scaling` ([`collect_scaling`]) — the sharded Im2col forward at
+//!   every [`SCALING_CORES`] count, independent and shared-HBM memory;
+//! * `scaling-backward` ([`collect_backward_scaling`]) — the sharded
+//!   Col2Im backward at every core count, independent and L2 memory,
+//!   with the partition choice (`sharded`) and L2 hits;
+//! * `tuner` ([`collect_tuner`]) — the auto-tuner's chosen algorithm,
+//!   its prediction, and every forced alternative's cycles;
+//! * `model` ([`collect_model`]) — the pinned conv→pool segments,
+//!   layered vs fused, materialised vs implicit im2col.
 //!
 //! When a cost-model or lowering change moves cycles *intentionally*,
 //! regenerate the baseline with
 //! `cargo run --release -p dv-bench --bin repro -- gate` and commit the
 //! refreshed `pooling.json` alongside the change.
 
+use crate::host::{HOST_SAMPLES, HOST_TOLERANCE};
 use crate::inputs::{feature_map, gradients, plane};
 use crate::json;
 use dv_core::{
@@ -72,7 +60,8 @@ use dv_isa::BufferId;
 use dv_sim::{Chip, ChipRun, CostModel, MemoryModel};
 use dv_tensor::{reference, PoolParams};
 use dv_tensor::{Nc1hwc0, PatchTensor};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use Value::{Int, Ratio, Text};
 
 /// Relative slowdown tolerated before the gate fails (5%).
 pub const TOLERANCE: f64 = 0.05;
@@ -81,70 +70,447 @@ pub const TOLERANCE: f64 = 0.05;
 /// legitimately moves cycles).
 pub const COMMITTED_BASELINE: &str = include_str!("../baselines/pooling.json");
 
-/// One tracked workload: cycles for the baseline implementation and for
-/// the paper's accelerated implementation, under both issue models, plus
-/// scratchpad occupancy ceilings.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Metric {
-    /// Stable identifier, e.g. `fig7a/147x147x64` or `fig8s2/24x24`.
-    pub key: String,
-    /// Dual-pipe cycles of the standard (non-accelerated) implementation.
-    pub standard_cycles: u64,
-    /// Dual-pipe cycles of the Im2col/Col2Im-accelerated implementation.
-    pub accelerated_cycles: u64,
-    /// Single-issue (legacy serial) cycles of the standard implementation.
-    pub standard_cycles_single: u64,
-    /// Single-issue cycles of the accelerated implementation.
-    pub accelerated_cycles_single: u64,
-    /// Dual-pipe cycles of the standard implementation with
-    /// double-buffered row-band prefetch (equals `standard_cycles` when
-    /// the workload fits a single band).
-    pub standard_cycles_db: u64,
-    /// Dual-pipe cycles of the accelerated implementation with
-    /// double-buffered row-band prefetch.
-    pub accelerated_cycles_db: u64,
-    /// Peak Unified Buffer occupancy in bytes (max over both
-    /// implementations).
-    pub ub_peak: u64,
-    /// Peak L1 buffer occupancy in bytes (max over both implementations).
-    pub l1_peak: u64,
-    /// Peak UB occupancy of the double-buffered runs — bounded by twice
-    /// the single-buffered band footprint.
-    pub ub_peak_db: u64,
-    /// Peak L1 occupancy of the double-buffered runs.
-    pub l1_peak_db: u64,
-    /// Dual-pipe cycles of the standard implementation with scratchpad
-    /// renaming disabled ([`CostModel::dual_pipe_no_rename`]) but
-    /// otherwise default scheduling — the no-rename control for
-    /// `standard_cycles_db`. The gate asserts the renamed column never
-    /// exceeds this one on any row.
-    pub standard_cycles_norename: u64,
-    /// No-rename control for `accelerated_cycles_db`.
-    pub accelerated_cycles_norename: u64,
+/// One field value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// An exact count: cycles, bytes, nanoseconds, a 0/1 choice.
+    Int(u64),
+    /// A named choice, e.g. the tuner's algorithm label.
+    Text(String),
+    /// A derived ratio, rendered to 4 decimals. Tests and gates that
+    /// need it exactly recompute it from the integer fields.
+    Ratio(f64),
 }
 
-impl Metric {
-    /// Dual-pipe speedup of the accelerated implementation
-    /// (standard / accelerated).
-    pub fn speedup(&self) -> f64 {
-        self.standard_cycles as f64 / self.accelerated_cycles as f64
+impl Value {
+    /// The value as a number (NaN for text, so no numeric bound can
+    /// trip on it).
+    pub fn num(&self) -> f64 {
+        match self {
+            Int(n) => *n as f64,
+            Ratio(r) => *r,
+            Text(_) => f64::NAN,
+        }
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Int(n) => write!(f, "{n}"),
+            Text(s) => write!(f, "\"{s}\""),
+            Ratio(r) => write!(f, "{r:.4}"),
+        }
+    }
+}
+
+/// `num / den` as a [`Ratio`] (a zero denominator counts as 1).
+pub fn ratio(num: u64, den: u64) -> Value {
+    Ratio(num as f64 / den.max(1) as f64)
+}
+
+/// One tracked workload: a stable key (e.g. `fig7a/147x147x64`) and its
+/// named fields in render order.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Row {
+    /// Stable identifier, unique within its section.
+    pub key: String,
+    /// `(name, value)` pairs in render order.
+    pub fields: Vec<(String, Value)>,
+}
+
+impl Row {
+    /// A row from its key and fields.
+    pub fn new(
+        key: impl Into<String>,
+        fields: impl IntoIterator<Item = (&'static str, Value)>,
+    ) -> Row {
+        Row {
+            key: key.into(),
+            fields: fields
+                .into_iter()
+                .map(|(n, v)| (n.to_string(), v))
+                .collect(),
+        }
     }
 
-    /// Single-issue speedup — the PR 1 headline numbers.
-    pub fn speedup_single(&self) -> f64 {
-        self.standard_cycles_single as f64 / self.accelerated_cycles_single as f64
+    /// The named field, if present.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
-    /// Dual-pipe speedup with double-buffered row-band prefetch.
-    pub fn speedup_db(&self) -> f64 {
-        self.standard_cycles_db as f64 / self.accelerated_cycles_db as f64
+    /// The named integer field. Panics if it is absent or not an
+    /// integer.
+    pub fn int(&self, name: &str) -> u64 {
+        match self.get(name) {
+            Some(Int(n)) => *n,
+            other => panic!("{}: integer field \"{name}\" is {other:?}", self.key),
+        }
     }
 
-    /// What scratchpad renaming buys on the accelerated implementation:
-    /// the no-rename control's cycles over the renamed cycles (1.0 =
-    /// renaming changed nothing; >1.0 = renaming is a measured win).
-    pub fn rename_gain(&self) -> f64 {
-        self.accelerated_cycles_norename as f64 / self.accelerated_cycles_db as f64
+    /// The named text field. Panics if it is absent or not text.
+    pub fn text(&self, name: &str) -> &str {
+        match self.get(name) {
+            Some(Text(s)) => s,
+            other => panic!("{}: text field \"{name}\" is {other:?}", self.key),
+        }
+    }
+
+    /// The exact ratio of two integer fields (a zero denominator counts
+    /// as 1) — what a rendered [`Ratio`] rounds.
+    pub fn ratio_of(&self, num: &str, den: &str) -> f64 {
+        self.int(num) as f64 / self.int(den).max(1) as f64
+    }
+}
+
+/// A gate document: the benchmark name and its named sections of rows,
+/// in render order.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Doc {
+    /// `pooling` (this module) or `host` ([`crate::host`]); selects the
+    /// constants written above the sections.
+    pub benchmark: String,
+    /// `(section name, rows)` pairs in render order.
+    pub sections: Vec<(String, Vec<Row>)>,
+}
+
+impl Doc {
+    /// A document from its benchmark name and sections.
+    pub fn new<'a>(
+        benchmark: &str,
+        sections: impl IntoIterator<Item = (&'a str, Vec<Row>)>,
+    ) -> Doc {
+        Doc {
+            benchmark: benchmark.to_string(),
+            sections: sections
+                .into_iter()
+                .map(|(n, rows)| (n.to_string(), rows))
+                .collect(),
+        }
+    }
+
+    /// The named section's rows, if the document has that section.
+    pub fn section(&self, name: &str) -> Option<&[Row]> {
+        self.sections
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, rows)| &rows[..])
+    }
+
+    /// The named section's rows (empty when the section is absent).
+    pub fn rows(&self, name: &str) -> &[Row] {
+        self.section(name).unwrap_or_default()
+    }
+}
+
+/// Render a document as `BENCH_pooling.json` / `BENCH_host.json`: the
+/// benchmark's constants, then one line per row.
+pub fn render(doc: &Doc) -> String {
+    let mut out = format!("{{\n  \"benchmark\": \"{}\",\n", doc.benchmark);
+    if doc.benchmark == "host" {
+        let _ = writeln!(out, "  \"tolerance\": {HOST_TOLERANCE},");
+        let _ = writeln!(out, "  \"samples\": {HOST_SAMPLES},");
+    } else {
+        let _ = writeln!(out, "  \"tolerance\": {TOLERANCE},");
+        out.push_str("  \"issue_models\": [\"dual_pipe\", \"single_issue\"],\n");
+    }
+    for (i, (name, rows)) in doc.sections.iter().enumerate() {
+        let _ = writeln!(out, "  \"{name}\": [");
+        for (j, row) in rows.iter().enumerate() {
+            let _ = write!(out, "    {{\"key\": \"{}\"", row.key);
+            for (name, value) in &row.fields {
+                let _ = write!(out, ", \"{name}\": {value}");
+            }
+            out.push_str(if j + 1 == rows.len() { "}\n" } else { "},\n" });
+        }
+        out.push_str(if i + 1 == doc.sections.len() {
+            "  ]\n"
+        } else {
+            "  ],\n"
+        });
+    }
+    out.push_str("}\n");
+    out
+}
+
+/// Parse a document [`render`] wrote. Every top-level array of objects
+/// is a section; the other top-level members are the benchmark's
+/// constants, which [`render`] rewrites from the benchmark name.
+pub fn parse(doc: &str) -> Result<Doc, String> {
+    let json::Value::Obj(members) = json::parse(doc).map_err(|e| e.to_string())? else {
+        return Err("a gate document is a JSON object".into());
+    };
+    let mut out = Doc::new("", []);
+    for (name, value) in members {
+        match value {
+            json::Value::Str(s) if name == "benchmark" => out.benchmark = s,
+            json::Value::Arr(items) if items.iter().all(|i| matches!(i, json::Value::Obj(_))) => {
+                let rows = items
+                    .into_iter()
+                    .map(|item| parse_row(&name, item))
+                    .collect::<Result<_, _>>()?;
+                out.sections.push((name, rows));
+            }
+            _ => {}
+        }
+    }
+    Ok(out)
+}
+
+fn parse_row(section: &str, item: json::Value) -> Result<Row, String> {
+    let json::Value::Obj(members) = item else {
+        unreachable!("sections hold objects");
+    };
+    let mut key = None;
+    let mut fields = Vec::new();
+    for (name, value) in members {
+        let value = match value {
+            json::Value::Int(n) => Int(n),
+            json::Value::Num(r) => Ratio(r),
+            json::Value::Str(s) if name == "key" => {
+                key = Some(s);
+                continue;
+            }
+            json::Value::Str(s) => Text(s),
+            _ => return Err(format!("{section} row: \"{name}\" is not a number or text")),
+        };
+        fields.push((name, value));
+    }
+    let key = key.ok_or(format!("{section} row missing \"key\""))?;
+    Ok(Row { key, fields })
+}
+
+/// How [`compare`] treats one field against its baseline value. A field
+/// no [`Check`] names is written but not gated.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Policy {
+    /// Every baseline row must still be measured (checked on `key`).
+    Present,
+    /// May grow at most `bound` (relative) over the baseline.
+    Ceiling,
+    /// Must equal the baseline: a deterministic choice only changes with
+    /// a deliberate re-baseline.
+    NoFlip,
+    /// Must stay above 0 on a row whose baseline was above 0.
+    Positive,
+    /// May fall at most `bound` (relative) below the baseline.
+    Floor,
+    /// The geometric mean over all matched rows may fall at most `bound`
+    /// (relative) below the baseline's — one bound for the whole section.
+    GeomeanFloor,
+}
+
+/// One gated bound: `field` of every `section` row under `policy`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Check {
+    /// Section name, e.g. `metrics` or `host`.
+    pub section: &'static str,
+    /// Field name (`key` for [`Policy::Present`]).
+    pub field: &'static str,
+    /// What the field must do against its baseline.
+    pub policy: Policy,
+    /// Relative slack of [`Policy::Ceiling`], [`Policy::Floor`] and
+    /// [`Policy::GeomeanFloor`]; 0 for the exact policies.
+    pub bound: f64,
+}
+
+/// The manifest: every bound [`compare`] enforces, for both the cycle
+/// and the host-throughput documents.
+pub fn checks() -> Vec<Check> {
+    use Policy::*;
+    let mut out = Vec::new();
+    let mut add = |section, policy, bound, fields: &[&'static str]| {
+        out.extend(fields.iter().map(|&field| Check {
+            section,
+            field,
+            policy,
+            bound,
+        }));
+    };
+    for section in [
+        "metrics",
+        "scaling",
+        "scaling-backward",
+        "tuner",
+        "model",
+        "host",
+    ] {
+        add(section, Present, 0.0, &["key"]);
+    }
+    add(
+        "metrics",
+        Ceiling,
+        TOLERANCE,
+        &[
+            "standard_cycles",
+            "accelerated_cycles",
+            "standard_cycles_single",
+            "accelerated_cycles_single",
+            "standard_cycles_db",
+            "accelerated_cycles_db",
+            "standard_cycles_norename",
+            "accelerated_cycles_norename",
+            "ub_peak",
+            "l1_peak",
+            "ub_peak_db",
+            "l1_peak_db",
+        ],
+    );
+    add(
+        "scaling",
+        Ceiling,
+        TOLERANCE,
+        &["cycles", "cycles_contended"],
+    );
+    add(
+        "scaling-backward",
+        Ceiling,
+        TOLERANCE,
+        &["cycles", "cycles_l2"],
+    );
+    add("scaling-backward", NoFlip, 0.0, &["sharded"]);
+    add("scaling-backward", Positive, 0.0, &["l2_hits"]);
+    add("tuner", NoFlip, 0.0, &["chosen"]);
+    add("tuner", Ceiling, TOLERANCE, &["tuned_cycles"]);
+    add(
+        "model",
+        Ceiling,
+        TOLERANCE,
+        &[
+            "layered_cycles",
+            "fused_cycles",
+            "conv_materialised_cycles",
+            "conv_implicit_cycles",
+            "l1_peak_materialised",
+            "l1_peak_implicit",
+            "gm_bytes_layered",
+            "gm_bytes_fused",
+            "ub_peak_fused",
+        ],
+    );
+    // Host wall time is noisy: one row may swing twice as far as the
+    // geomean over all rows, which any real executor regression moves.
+    add("host", Floor, 2.0 * HOST_TOLERANCE, &["sliced_speedup"]);
+    add("host", GeomeanFloor, HOST_TOLERANCE, &["sliced_speedup"]);
+    out
+}
+
+/// Compare `current` against `baseline` under every [`checks`] bound and
+/// return the regressions (empty = the gate passes). A section or field
+/// the baseline lacks is new and passes; a baseline field of 0 is a
+/// ceiling of 0; a gated field the baseline has but `current` lacks is a
+/// regression.
+pub fn compare(current: &Doc, baseline: &Doc) -> Vec<String> {
+    let mut regressions = Vec::new();
+    for c in checks() {
+        let Some(base_rows) = baseline.section(c.section) else {
+            continue;
+        };
+        let mut matched = Vec::new();
+        for b in base_rows {
+            let Some(now_row) = current.rows(c.section).iter().find(|r| r.key == b.key) else {
+                if c.policy == Policy::Present {
+                    let section = c.section;
+                    regressions.push(format!("{}: tracked {section} row disappeared", b.key));
+                }
+                continue;
+            };
+            let Some(base) = b.get(c.field) else {
+                continue;
+            };
+            let Some(now) = now_row.get(c.field) else {
+                regressions.push(format!("{} ({}): gated field disappeared", b.key, c.field));
+                continue;
+            };
+            let (n, bv) = (now.num(), base.num());
+            let flagged = match c.policy {
+                Policy::Ceiling => n > bv * (1.0 + c.bound),
+                Policy::Floor => n < bv * (1.0 - c.bound),
+                Policy::Positive => bv > 0.0 && n == 0.0,
+                Policy::NoFlip => now != base,
+                Policy::Present | Policy::GeomeanFloor => false,
+            };
+            if flagged {
+                let why = match c.policy {
+                    Policy::NoFlip => format!("choice flipped ({base} -> {now})"),
+                    Policy::Positive => format!("vanished ({base} -> {now})"),
+                    _ => format!("{now} vs baseline {base} ({:+.1}%)", (n / bv - 1.0) * 100.0),
+                };
+                regressions.push(format!("{} ({}): {why}", b.key, c.field));
+            }
+            matched.push((n, bv));
+        }
+        if c.policy == Policy::GeomeanFloor && !matched.is_empty() {
+            let geomean = |xs: &mut dyn Iterator<Item = f64>| {
+                (xs.map(f64::ln).sum::<f64>() / matched.len() as f64).exp()
+            };
+            let now = geomean(&mut matched.iter().map(|m| m.0));
+            let base = geomean(&mut matched.iter().map(|m| m.1));
+            if now < base * (1.0 - c.bound) {
+                regressions.push(format!(
+                    "{} geomean {}: {now:.4} vs baseline {base:.4} ({:+.1}%)",
+                    c.section,
+                    c.field,
+                    (now / base - 1.0) * 100.0
+                ));
+            }
+        }
+    }
+    regressions
+}
+
+/// Append to each `metrics` row its dual-pipe cycle ratios against the
+/// baseline row of the same key (1.0 = unchanged, >1.0 = slower), as
+/// `BENCH_pooling.json` reports them.
+pub fn with_vs_baseline(mut doc: Doc, baseline: &Doc) -> Doc {
+    for (name, rows) in &mut doc.sections {
+        if name != "metrics" {
+            continue;
+        }
+        for row in rows {
+            let Some(b) = baseline.rows("metrics").iter().find(|b| b.key == row.key) else {
+                continue;
+            };
+            for (name, field) in [
+                ("vs_baseline_standard", "standard_cycles"),
+                ("vs_baseline_accelerated", "accelerated_cycles"),
+            ] {
+                if let Some(base) = b.get(field) {
+                    let now = row.int(field) as f64;
+                    row.fields.push((name.to_string(), Ratio(now / base.num())));
+                }
+            }
+        }
+    }
+    doc
+}
+
+/// Replay every section's workloads: the `BENCH_pooling.json` document.
+pub fn collect_all() -> Doc {
+    Doc::new(
+        "pooling",
+        [
+            ("metrics", collect()),
+            ("scaling", collect_scaling()),
+            ("scaling-backward", collect_backward_scaling()),
+            ("tuner", collect_tuner()),
+            ("model", collect_model()),
+        ],
+    )
+}
+
+/// Run the full gate against [`COMMITTED_BASELINE`]: collect, compare,
+/// and return the rendered `BENCH_pooling.json` contents on success or
+/// the regression list on failure.
+pub fn run() -> Result<String, Vec<String>> {
+    let baseline = parse(COMMITTED_BASELINE)
+        .map_err(|e| vec![format!("committed baseline unreadable: {e}")])?;
+    let current = collect_all();
+    let regressions = compare(&current, &baseline);
+    if regressions.is_empty() {
+        Ok(render(&with_vs_baseline(current, &baseline)))
+    } else {
+        Err(regressions)
     }
 }
 
@@ -169,34 +535,11 @@ pub fn single_issue_cycles(run: &ChipRun) -> u64 {
 /// the shared HBM pipe by 4x (32 cores x 32 B/cyc vs 256 B/cyc).
 pub const SCALING_CORES: [usize; 4] = [1, 2, 8, 32];
 
-/// One scaling-gate row: a Fig. 7 shape's sharded Im2col forward at one
-/// core count, measured under both memory models.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScalingMetric {
-    /// Stable identifier, e.g. `scaling/147x147x64/c8`.
-    pub key: String,
-    /// Core count of the chip this row ran on.
-    pub cores: u64,
-    /// Dual-pipe chip cycles under [`MemoryModel::Independent`] (every
-    /// core sees its full MTE bandwidth).
-    pub cycles: u64,
-    /// Dual-pipe chip cycles with the shared-HBM contention stage
-    /// ([`MemoryModel::ascend910_hbm`]) booked on top.
-    pub cycles_contended: u64,
-    /// Contention stalls summed over all cores in the contended run.
-    pub contention_stalls: u64,
-}
-
-impl ScalingMetric {
-    /// Degradation the shared-bandwidth stage charged on this row
-    /// (1.0 = bandwidth was never the bottleneck).
-    pub fn contention_factor(&self) -> f64 {
-        self.cycles_contended as f64 / self.cycles as f64
-    }
-}
-
 /// Replay the Fig. 7 forward workloads through the sharded engine at
-/// every [`SCALING_CORES`] count and measure the scaling curve.
+/// every [`SCALING_CORES`] count and measure the scaling curve: chip
+/// cycles under [`MemoryModel::Independent`] and with the shared-HBM
+/// contention stage ([`MemoryModel::ascend910_hbm`]), and the contention
+/// stalls summed over all cores.
 ///
 /// Asserts the tentpole's correctness contract in-run:
 ///
@@ -211,7 +554,7 @@ impl ScalingMetric {
 ///   fair-share factor `max(1, active * per_core_peak / shared)` of its
 ///   uncontended makespan, so the shared pipe degrades but never
 ///   livelocks a core.
-pub fn collect_scaling() -> Vec<ScalingMetric> {
+pub fn collect_scaling() -> Vec<Row> {
     let mut out = Vec::new();
     let cost = CostModel::ascend910_like();
     let MemoryModel::SharedBandwidth {
@@ -281,62 +624,28 @@ pub fn collect_scaling() -> Vec<ScalingMetric> {
                      fair-share bound ({cc} vs {factor:.2} x {uncontended})"
                 );
             }
-            out.push(ScalingMetric {
-                key: format!("scaling/{shape}/c{cores}"),
-                cores: cores as u64,
-                cycles: run.cycles,
-                cycles_contended: run_c.cycles,
-                contention_stalls: run_c.total.contention_stalls,
-            });
+            out.push(Row::new(
+                format!("scaling/{shape}/c{cores}"),
+                [
+                    ("cores", Int(cores as u64)),
+                    ("cycles", Int(run.cycles)),
+                    ("cycles_contended", Int(run_c.cycles)),
+                    ("contention_stalls", Int(run_c.total.contention_stalls)),
+                    ("contention_factor", ratio(run_c.cycles, run.cycles)),
+                ],
+            ));
         }
     }
     out
 }
 
-/// One backward-scaling row: a Fig. 7 shape's Col2Im backward through
-/// the sharded engine at one core count, measured under the independent
-/// memory model and under the per-plane L2 locality stage
-/// ([`MemoryModel::ascend910_l2`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BackwardScalingMetric {
-    /// Stable identifier, e.g. `scaling-backward/147x147x64/c8`.
-    pub key: String,
-    /// Core count of the chip this row ran on.
-    pub cores: u64,
-    /// Dual-pipe chip cycles under [`MemoryModel::Independent`].
-    pub cycles: u64,
-    /// Dual-pipe chip cycles under the shared-HBM + L2 stage.
-    pub cycles_l2: u64,
-    /// L2 line hits booked in the L2-model run — strictly positive
-    /// exactly when same-plane shards shared input lines, i.e. the run
-    /// moved strictly fewer HBM bytes than the per-plane plan would.
-    pub l2_hits: u64,
-    /// Stall cycles charged for L2 misses in the L2-model run.
-    pub l2_miss_stalls: u64,
-    /// GM bytes the backward pass moved (backend- and model-invariant).
-    pub gm_bytes: u64,
-    /// 1 when the cost-model partitioner chose the sub-plane
-    /// ([`dv_core::PartitionAxis::PerRowBand`]) plan for this row, 0 when
-    /// it kept per-plane sharding. A flip against the baseline fails the
-    /// gate like a tuner choice flip.
-    pub sharded: u64,
-    /// Sharded-lowering declines booked as
-    /// [`tuner_fallbacks`](dv_sim::HwCounters::tuner_fallbacks) —
-    /// asserted zero in-run on every tracked row.
-    pub declines: u64,
-}
-
-impl BackwardScalingMetric {
-    /// Degradation the shared-bandwidth + L2 stage charged on this row
-    /// (1.0 = memory was never the bottleneck).
-    pub fn l2_factor(&self) -> f64 {
-        self.cycles_l2 as f64 / self.cycles.max(1) as f64
-    }
-}
-
 /// Replay the Fig. 7 backward (Fig. 7c) workloads through the sharded
 /// engine at every [`SCALING_CORES`] count, under both the independent
-/// memory model and the L2 locality stage.
+/// memory model and the L2 locality stage ([`MemoryModel::ascend910_l2`]).
+/// `sharded` is 1 when the cost-model partitioner chose the sub-plane
+/// ([`dv_core::PartitionAxis::PerRowBand`]) plan, 0 for per-plane;
+/// `declines` counts sharded-lowering declines (booked as
+/// `tuner_fallbacks`).
 ///
 /// Asserts the halo-merge tentpole's contract in-run:
 ///
@@ -354,7 +663,7 @@ impl BackwardScalingMetric {
 ///   books **`l2_hits > 0`**: row-band shards of one plane re-read
 ///   overlapping gradient/mask rows from the L2 instead of the HBM, so
 ///   the sharded plan moves strictly fewer HBM bytes than per-plane.
-pub fn collect_backward_scaling() -> Vec<BackwardScalingMetric> {
+pub fn collect_backward_scaling() -> Vec<Row> {
     use dv_core::{choose_backward_partition, PartitionAxis, PoolProblem};
     let mut out = Vec::new();
     let cost = CostModel::ascend910_like();
@@ -441,42 +750,40 @@ pub fn collect_backward_scaling() -> Vec<BackwardScalingMetric> {
                 eng.chip.caps,
                 eng.shared_bandwidth(),
             ) == PartitionAxis::PerRowBand;
-            out.push(BackwardScalingMetric {
+            out.push(Row::new(
                 key,
-                cores: cores as u64,
-                cycles: run.cycles,
-                cycles_l2: run_l2.cycles,
-                l2_hits: run_l2.total.l2_hits,
-                l2_miss_stalls: run_l2.total.l2_miss_stalls,
-                gm_bytes: run.total.gm_bytes,
-                sharded: u64::from(sharded),
-                declines: run.total.tuner_fallbacks,
-            });
+                [
+                    ("cores", Int(cores as u64)),
+                    ("cycles", Int(run.cycles)),
+                    ("cycles_l2", Int(run_l2.cycles)),
+                    ("l2_factor", ratio(run_l2.cycles, run.cycles)),
+                    ("l2_hits", Int(run_l2.total.l2_hits)),
+                    ("l2_miss_stalls", Int(run_l2.total.l2_miss_stalls)),
+                    ("gm_bytes", Int(run.total.gm_bytes)),
+                    ("sharded", Int(u64::from(sharded))),
+                    ("declines", Int(run.total.tuner_fallbacks)),
+                ],
+            ));
         }
     }
     out
 }
 
-/// One auto-tuner row: which algorithm [`choose_forward_algorithm`] /
-/// [`choose_backward_algorithm`] picked for a tracked workload, its
-/// predicted and measured cycles, and the measured cycles of each forced
-/// alternative (0 = that alternative cannot lower the workload).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TunerMetric {
-    /// Stable identifier, e.g. `tuner/fig8s2/24x24`.
-    pub key: String,
-    /// Label of the algorithm the tuner dispatched (`direct`, `im2col`,
-    /// `fold`).
-    pub chosen: String,
-    /// The tuner's pre-run cycle prediction for the chosen algorithm.
-    pub predicted_cycles: u64,
-    /// Measured dual-pipe cycles of the tuned run.
-    pub tuned_cycles: u64,
-    /// Measured cycles of the forced direct-reduction run (0 when the
-    /// direct lowering is infeasible for this workload).
-    pub direct_cycles: u64,
-    /// Measured cycles of the forced im2col run.
-    pub im2col_cycles: u64,
+/// One auto-tuner row: the algorithm the tuner dispatched (`direct`,
+/// `im2col`, `fold`), its pre-run prediction, the tuned run's cycles, and
+/// each forced alternative's cycles (0 = that alternative cannot lower
+/// the workload).
+fn tuner_row(key: String, chosen: &str, predicted: u64, tuned: u64, forced: [u64; 2]) -> Row {
+    Row::new(
+        key,
+        [
+            ("chosen", Text(chosen.to_string())),
+            ("predicted_cycles", Int(predicted)),
+            ("tuned_cycles", Int(tuned)),
+            ("direct_cycles", Int(forced[0])),
+            ("im2col_cycles", Int(forced[1])),
+        ],
+    )
 }
 
 /// Measure one forward tuner row and certify the prediction-honesty
@@ -491,7 +798,7 @@ fn tuner_forward_row(
     input: &Nc1hwc0,
     (c1, h, w): (usize, usize, usize),
     params: PoolParams,
-) -> TunerMetric {
+) -> Row {
     let prob = PoolProblem::new(1, c1, h, w, params).expect("tuner problem");
     let choice = choose_forward_algorithm(
         &prob,
@@ -536,14 +843,13 @@ fn tuner_forward_row(
             cycles[slot] = r.cycles;
         }
     }
-    TunerMetric {
+    tuner_row(
         key,
-        chosen: winner.label().to_string(),
-        predicted_cycles: choice.predicted(winner).unwrap_or(0),
-        tuned_cycles: run.cycles,
-        direct_cycles: cycles[0],
-        im2col_cycles: cycles[1],
-    }
+        winner.label(),
+        choice.predicted(winner).unwrap_or(0),
+        run.cycles,
+        cycles,
+    )
 }
 
 /// Measure one backward tuner row with the same in-run certification as
@@ -556,7 +862,7 @@ fn tuner_backward_row(
     grads: &Nc1hwc0,
     (c1, h, w): (usize, usize, usize),
     params: PoolParams,
-) -> TunerMetric {
+) -> Row {
     let prob = PoolProblem::new(1, c1, h, w, params).expect("tuner problem");
     let choice = choose_backward_algorithm(
         &prob,
@@ -597,24 +903,23 @@ fn tuner_backward_row(
             cycles[slot] = r.cycles;
         }
     }
-    TunerMetric {
+    tuner_row(
         key,
-        chosen: winner.label().to_string(),
-        predicted_cycles: choice.predicted(winner).unwrap_or(0),
-        tuned_cycles: run.cycles,
-        direct_cycles: cycles[0],
-        im2col_cycles: cycles[1],
-    }
+        winner.label(),
+        choice.predicted(winner).unwrap_or(0),
+        run.cycles,
+        cycles,
+    )
 }
 
 /// Replay the tracked workloads through the auto-tuned engine and record
 /// which algorithm it chose per row, with the prediction-honesty
-/// contract asserted in-run ([`tuner_forward_row`]). Two choices are
+/// contract asserted in-run (`tuner_forward_row`). Two choices are
 /// pinned here because they *are* the paper's Fig. 8 crossover: stride
 /// (1, 1) must auto-select the direct reduction and stride (2, 2) must
 /// auto-select im2col. The backward tuner must route every Fig. 7 shape
 /// through the Col2Im merge — the paper's Section V-B claim.
-pub fn collect_tuner() -> Vec<TunerMetric> {
+pub fn collect_tuner() -> Vec<Row> {
     let mut out = Vec::new();
     let eng = PoolingEngine::ascend910();
     for w in fig7_workloads() {
@@ -642,7 +947,8 @@ pub fn collect_tuner() -> Vec<TunerMetric> {
             w.params,
         );
         assert_eq!(
-            m.chosen, "im2col",
+            m.text("chosen"),
+            "im2col",
             "{}: the backward tuner must route the paper shapes through Col2Im",
             m.key
         );
@@ -671,13 +977,15 @@ pub fn collect_tuner() -> Vec<TunerMetric> {
             );
             match stride {
                 1 => assert_eq!(
-                    m.chosen, "direct",
+                    m.text("chosen"),
+                    "direct",
                     "{}: stride (1,1) must auto-select the direct reduction \
                      (the Fig. 8a crossover)",
                     m.key
                 ),
                 2 => assert_eq!(
-                    m.chosen, "im2col",
+                    m.text("chosen"),
+                    "im2col",
                     "{}: stride (2,2) must auto-select im2col (the Fig. 8b \
                      crossover)",
                     m.key
@@ -705,56 +1013,10 @@ pub fn collect_tuner() -> Vec<TunerMetric> {
     out
 }
 
-/// One whole-model row: a pinned conv→pool segment
-/// ([`dv_nn::pinned_segments`]) run end-to-end through
-/// [`dv_nn::Sequential`], layer-at-a-time vs fused (UB tile handoff),
-/// plus the conv layer alone under both im2col lowerings.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ModelMetric {
-    /// Stable identifier, e.g. `model/vgg16-seg`.
-    pub key: String,
-    /// Total dual-pipe cycles of the layer-at-a-time forward pass.
-    pub layered_cycles: u64,
-    /// Total dual-pipe cycles of the fused (tile-handoff) forward pass.
-    pub fused_cycles: u64,
-    /// Cycles of the segment's conv layer under the materialised im2col
-    /// lowering (full column buffer staged in L1).
-    pub conv_materialised_cycles: u64,
-    /// Cycles of the same conv under the implicit im2col lowering
-    /// (fractal expansions emitted on demand per output tile).
-    pub conv_implicit_cycles: u64,
-    /// L1 high-water mark of the materialised conv run.
-    pub l1_peak_materialised: u64,
-    /// L1 high-water mark of the implicit conv run — the gate asserts
-    /// this is *strictly* below the materialised peak on every pinned
-    /// segment.
-    pub l1_peak_implicit: u64,
-    /// GM bytes moved by the layered composition (conv run + pool run —
-    /// the intermediate tensor round-trips through GM).
-    pub gm_bytes_layered: u64,
-    /// GM bytes moved by the fused segment (intermediate stays resident
-    /// in UB) — asserted strictly below the layered traffic.
-    pub gm_bytes_fused: u64,
-    /// UB high-water mark of the fused run (resident conv planes plus
-    /// pooled staging).
-    pub ub_peak_fused: u64,
-}
-
-impl ModelMetric {
-    /// What the tile handoff buys end-to-end (layered / fused cycles).
-    pub fn fused_gain(&self) -> f64 {
-        self.layered_cycles as f64 / self.fused_cycles.max(1) as f64
-    }
-
-    /// How much of the materialised L1 working set the implicit
-    /// lowering keeps (implicit / materialised peaks; < 1.0 = shrink).
-    pub fn l1_shrink(&self) -> f64 {
-        self.l1_peak_implicit as f64 / self.l1_peak_materialised.max(1) as f64
-    }
-}
-
-/// Run both pinned model segments end-to-end and measure them, with the
-/// whole-model correctness contract asserted in-run:
+/// Run both pinned conv→pool segments ([`dv_nn::pinned_segments`])
+/// end-to-end through [`dv_nn::Sequential`], layer-at-a-time vs fused
+/// (UB tile handoff), plus the conv layer alone under both im2col
+/// lowerings, with the whole-model correctness contract asserted in-run:
 ///
 /// * the layered and fused passes are **bit-identical** to
 ///   [`dv_nn::reference_forward`] (the fused consumer replays the golden
@@ -767,7 +1029,7 @@ impl ModelMetric {
 ///   layered composition (the round-trip is the thing being deleted);
 /// * nothing declines on a pinned segment: every fallback counter
 ///   (`implicit_declines`, `fusion_declines`) must read zero.
-pub fn collect_model() -> Vec<ModelMetric> {
+pub fn collect_model() -> Vec<Row> {
     use dv_conv::{run_conv2d_with, ConvLowering};
     use dv_nn::{reference_forward, run_fused_conv_pool, FusionPolicy, PoolKind, Sequential};
 
@@ -891,108 +1153,35 @@ pub fn collect_model() -> Vec<ModelMetric> {
             "{key}: the pinned segment must fuse via the handoff"
         );
 
-        out.push(ModelMetric {
+        let (layered, fused) = (layered_run.total_cycles(), fused_run.total_cycles());
+        let l1_materialised = run_m.peaks.of(BufferId::L1) as u64;
+        let l1_implicit = run_i.peaks.of(BufferId::L1) as u64;
+        out.push(Row::new(
             key,
-            layered_cycles: layered_run.total_cycles(),
-            fused_cycles: fused_run.total_cycles(),
-            conv_materialised_cycles: run_m.cycles,
-            conv_implicit_cycles: run_i.cycles,
-            l1_peak_materialised: run_m.peaks.of(BufferId::L1) as u64,
-            l1_peak_implicit: run_i.peaks.of(BufferId::L1) as u64,
-            gm_bytes_layered,
-            gm_bytes_fused: run_f.total.gm_bytes,
-            ub_peak_fused: run_f.peaks.of(BufferId::Ub) as u64,
-        });
+            [
+                ("layered_cycles", Int(layered)),
+                ("fused_cycles", Int(fused)),
+                ("fused_gain", ratio(layered, fused)),
+                ("conv_materialised_cycles", Int(run_m.cycles)),
+                ("conv_implicit_cycles", Int(run_i.cycles)),
+                ("l1_peak_materialised", Int(l1_materialised)),
+                ("l1_peak_implicit", Int(l1_implicit)),
+                ("l1_shrink", ratio(l1_implicit, l1_materialised)),
+                ("gm_bytes_layered", Int(gm_bytes_layered)),
+                ("gm_bytes_fused", Int(run_f.total.gm_bytes)),
+                ("ub_peak_fused", Int(run_f.peaks.of(BufferId::Ub) as u64)),
+            ],
+        ));
     }
     out
 }
 
-/// Parse the `model` section of a `BENCH_pooling.json`-format document.
-/// A baseline committed before whole-model tracking has no section and
-/// parses as the empty list — [`compare_model`] then treats every
-/// current row as a new ceiling.
-pub fn parse_model(doc: &str) -> Result<Vec<ModelMetric>, String> {
-    let v = json::parse(doc).map_err(|e| e.to_string())?;
-    let Some(arr) = v.get("model").and_then(|m| m.as_arr()) else {
-        return Ok(Vec::new());
-    };
-    let field = |m: &json::Value, name: &'static str| {
-        m.get(name)
-            .and_then(|c| c.as_u64())
-            .ok_or(format!("model row missing \"{name}\""))
-    };
-    arr.iter()
-        .map(|m| {
-            Ok(ModelMetric {
-                key: m
-                    .get("key")
-                    .and_then(|k| k.as_str())
-                    .ok_or("model row missing \"key\"".to_string())?
-                    .to_string(),
-                layered_cycles: field(m, "layered_cycles")?,
-                fused_cycles: field(m, "fused_cycles")?,
-                conv_materialised_cycles: field(m, "conv_materialised_cycles")?,
-                conv_implicit_cycles: field(m, "conv_implicit_cycles")?,
-                l1_peak_materialised: field(m, "l1_peak_materialised")?,
-                l1_peak_implicit: field(m, "l1_peak_implicit")?,
-                gm_bytes_layered: field(m, "gm_bytes_layered")?,
-                gm_bytes_fused: field(m, "gm_bytes_fused")?,
-                ub_peak_fused: field(m, "ub_peak_fused")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()
-}
-
-/// Compare current model rows against a baseline's. Flags a tracked row
-/// that disappeared, or any cycle/traffic/peak column more than
-/// `tolerance` worse. New rows pass — they are fresh ceilings.
-pub fn compare_model(
-    current: &[ModelMetric],
-    baseline: &[ModelMetric],
-    tolerance: f64,
-) -> Vec<String> {
-    let mut regressions = Vec::new();
-    for b in baseline {
-        let Some(c) = current.iter().find(|c| c.key == b.key) else {
-            regressions.push(format!("{}: tracked model row disappeared", b.key));
-            continue;
-        };
-        for (what, now, base) in [
-            ("layered", c.layered_cycles, b.layered_cycles),
-            ("fused", c.fused_cycles, b.fused_cycles),
-            (
-                "conv materialised",
-                c.conv_materialised_cycles,
-                b.conv_materialised_cycles,
-            ),
-            (
-                "conv implicit",
-                c.conv_implicit_cycles,
-                b.conv_implicit_cycles,
-            ),
-            (
-                "L1 peak materialised",
-                c.l1_peak_materialised,
-                b.l1_peak_materialised,
-            ),
-            ("L1 peak implicit", c.l1_peak_implicit, b.l1_peak_implicit),
-            ("GM bytes layered", c.gm_bytes_layered, b.gm_bytes_layered),
-            ("GM bytes fused", c.gm_bytes_fused, b.gm_bytes_fused),
-            ("UB peak fused", c.ub_peak_fused, b.ub_peak_fused),
-        ] {
-            let ratio = now as f64 / base.max(1) as f64;
-            if base > 0 && ratio > 1.0 + tolerance {
-                regressions.push(format!(
-                    "{} ({what}): {now} vs baseline {base} ({:+.1}%)",
-                    b.key,
-                    (ratio - 1.0) * 100.0
-                ));
-            }
-        }
-    }
-    regressions
-}
-
+/// One `metrics` row: cycles of the standard and the accelerated
+/// implementation under the dual-pipe model (single-buffered headline
+/// columns, `*_db` double-buffered, `*_norename` the no-rename control)
+/// and the derived single-issue model, plus UB/L1 peaks (max over both
+/// implementations). Asserts the 2x double-buffer footprint budget and
+/// the renaming makespan contract.
 fn metric(
     key: String,
     std: &ChipRun,
@@ -1001,39 +1190,22 @@ fn metric(
     acc_db: &ChipRun,
     std_nr: &ChipRun,
     acc_nr: &ChipRun,
-) -> Metric {
-    let m = Metric {
-        key,
-        standard_cycles: std.cycles,
-        accelerated_cycles: acc.cycles,
-        standard_cycles_single: single_issue_cycles(std),
-        accelerated_cycles_single: single_issue_cycles(acc),
-        standard_cycles_db: std_db.cycles,
-        accelerated_cycles_db: acc_db.cycles,
-        ub_peak: std.peaks.of(BufferId::Ub).max(acc.peaks.of(BufferId::Ub)) as u64,
-        l1_peak: std.peaks.of(BufferId::L1).max(acc.peaks.of(BufferId::L1)) as u64,
-        ub_peak_db: std_db
-            .peaks
-            .of(BufferId::Ub)
-            .max(acc_db.peaks.of(BufferId::Ub)) as u64,
-        l1_peak_db: std_db
-            .peaks
-            .of(BufferId::L1)
-            .max(acc_db.peaks.of(BufferId::L1)) as u64,
-        standard_cycles_norename: std_nr.cycles,
-        accelerated_cycles_norename: acc_nr.cycles,
-    };
+) -> Row {
+    let peak = |a: &ChipRun, b: &ChipRun, buf| a.peaks.of(buf).max(b.peaks.of(buf)) as u64;
+    let (ub_peak, l1_peak) = (peak(std, acc, BufferId::Ub), peak(std, acc, BufferId::L1));
+    let ub_peak_db = peak(std_db, acc_db, BufferId::Ub);
+    let l1_peak_db = peak(std_db, acc_db, BufferId::L1);
     // The ping-pong layout may double the band-cycled regions but never
     // more: the planner sizes bands so 2x the footprint fits.
     assert!(
-        m.ub_peak_db <= 2 * m.ub_peak && m.l1_peak_db <= 2 * m.l1_peak.max(1),
+        ub_peak_db <= 2 * ub_peak && l1_peak_db <= 2 * l1_peak.max(1),
         "{}: double-buffered peaks exceed the 2x band-footprint budget \
          (UB {} vs {}, L1 {} vs {})",
-        m.key,
-        m.ub_peak_db,
-        m.ub_peak,
-        m.l1_peak_db,
-        m.l1_peak
+        key,
+        ub_peak_db,
+        ub_peak,
+        l1_peak_db,
+        l1_peak
     );
     // Renaming's makespan contract, enforced on every tracked row: the
     // cost-aware planner only schedules a versioned layout when its
@@ -1041,17 +1213,39 @@ fn metric(
     // unchanged program can only relax waits — so the renamed makespan
     // never exceeds the no-rename control's.
     assert!(
-        m.standard_cycles_db <= m.standard_cycles_norename
-            && m.accelerated_cycles_db <= m.accelerated_cycles_norename,
+        std_db.cycles <= std_nr.cycles && acc_db.cycles <= acc_nr.cycles,
         "{}: renaming may never cost dual-pipe cycles \
          (standard {} vs no-rename {}, accelerated {} vs no-rename {})",
-        m.key,
-        m.standard_cycles_db,
-        m.standard_cycles_norename,
-        m.accelerated_cycles_db,
-        m.accelerated_cycles_norename
+        key,
+        std_db.cycles,
+        std_nr.cycles,
+        acc_db.cycles,
+        acc_nr.cycles
     );
-    m
+    let (std_single, acc_single) = (single_issue_cycles(std), single_issue_cycles(acc));
+    Row::new(
+        key,
+        [
+            ("standard_cycles", Int(std.cycles)),
+            ("accelerated_cycles", Int(acc.cycles)),
+            ("speedup", ratio(std.cycles, acc.cycles)),
+            ("standard_cycles_single", Int(std_single)),
+            ("accelerated_cycles_single", Int(acc_single)),
+            ("speedup_single", ratio(std_single, acc_single)),
+            ("standard_cycles_db", Int(std_db.cycles)),
+            ("accelerated_cycles_db", Int(acc_db.cycles)),
+            ("speedup_db", ratio(std_db.cycles, acc_db.cycles)),
+            ("standard_cycles_norename", Int(std_nr.cycles)),
+            ("accelerated_cycles_norename", Int(acc_nr.cycles)),
+            // What scratchpad renaming buys on the accelerated
+            // implementation (1.0 = nothing, >1.0 = a measured win).
+            ("rename_gain", ratio(acc_nr.cycles, acc_db.cycles)),
+            ("ub_peak", Int(ub_peak)),
+            ("l1_peak", Int(l1_peak)),
+            ("ub_peak_db", Int(ub_peak_db)),
+            ("l1_peak_db", Int(l1_peak_db)),
+        ],
+    )
 }
 
 /// Replay every tracked workload and measure it.
@@ -1064,7 +1258,7 @@ fn metric(
 /// buffer ceilings are under regression tracking. Inputs reuse the
 /// experiment seeds, so cycle counts match the corresponding
 /// `experiments::*` tables exactly.
-pub fn collect() -> Vec<Metric> {
+pub fn collect() -> Vec<Row> {
     let mut out = Vec::new();
     // Headline columns run single-buffered (the PR 1-comparable
     // schedule); the `*_db` columns rerun the same workloads with
@@ -1384,871 +1578,230 @@ pub fn collect() -> Vec<Metric> {
     out
 }
 
-/// Render metrics as the `BENCH_pooling.json` document. When `baseline`
-/// is given, each metric additionally carries its dual-pipe cycle ratio
-/// vs the baseline (1.0 = unchanged, >1.0 = slower). The `scaling`,
-/// `scaling-backward`, `tuner`, and `model` rows land in their own
-/// top-level sections — per-core-count columns (forward and backward),
-/// per-workload chosen-algorithm columns, and per-segment fused-pipeline
-/// columns respectively.
-pub fn to_json(
-    metrics: &[Metric],
-    scaling: &[ScalingMetric],
-    backward: &[BackwardScalingMetric],
-    tuner: &[TunerMetric],
-    model: &[ModelMetric],
-    baseline: Option<&[Metric]>,
-) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"pooling\",\n");
-    let _ = writeln!(out, "  \"tolerance\": {TOLERANCE},");
-    let _ = writeln!(
-        out,
-        "  \"issue_models\": [\"dual_pipe\", \"single_issue\"],"
-    );
-    out.push_str("  \"metrics\": [\n");
-    for (i, m) in metrics.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"key\": \"{}\", \"standard_cycles\": {}, \"accelerated_cycles\": {}, \
-             \"speedup\": {:.4}, \"standard_cycles_single\": {}, \
-             \"accelerated_cycles_single\": {}, \"speedup_single\": {:.4}, \
-             \"standard_cycles_db\": {}, \"accelerated_cycles_db\": {}, \
-             \"speedup_db\": {:.4}, \"standard_cycles_norename\": {}, \
-             \"accelerated_cycles_norename\": {}, \"rename_gain\": {:.4}, \
-             \"ub_peak\": {}, \"l1_peak\": {}, \
-             \"ub_peak_db\": {}, \"l1_peak_db\": {}",
-            m.key,
-            m.standard_cycles,
-            m.accelerated_cycles,
-            m.speedup(),
-            m.standard_cycles_single,
-            m.accelerated_cycles_single,
-            m.speedup_single(),
-            m.standard_cycles_db,
-            m.accelerated_cycles_db,
-            m.speedup_db(),
-            m.standard_cycles_norename,
-            m.accelerated_cycles_norename,
-            m.rename_gain(),
-            m.ub_peak,
-            m.l1_peak,
-            m.ub_peak_db,
-            m.l1_peak_db
-        );
-        if let Some(base) = baseline {
-            if let Some(b) = base.iter().find(|b| b.key == m.key) {
-                let _ = write!(
-                    out,
-                    ", \"vs_baseline_standard\": {:.4}, \"vs_baseline_accelerated\": {:.4}",
-                    m.standard_cycles as f64 / b.standard_cycles as f64,
-                    m.accelerated_cycles as f64 / b.accelerated_cycles as f64
-                );
-            }
-        }
-        out.push_str(if i + 1 == metrics.len() {
-            "}\n"
-        } else {
-            "},\n"
-        });
-    }
-    out.push_str("  ],\n  \"scaling\": [\n");
-    for (i, s) in scaling.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"key\": \"{}\", \"cores\": {}, \"cycles\": {}, \
-             \"cycles_contended\": {}, \"contention_stalls\": {}, \
-             \"contention_factor\": {:.4}}}",
-            s.key,
-            s.cores,
-            s.cycles,
-            s.cycles_contended,
-            s.contention_stalls,
-            s.contention_factor()
-        );
-        out.push_str(if i + 1 == scaling.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ],\n  \"scaling-backward\": [\n");
-    for (i, s) in backward.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"key\": \"{}\", \"cores\": {}, \"cycles\": {}, \
-             \"cycles_l2\": {}, \"l2_factor\": {:.4}, \"l2_hits\": {}, \
-             \"l2_miss_stalls\": {}, \"gm_bytes\": {}, \"sharded\": {}, \
-             \"declines\": {}}}",
-            s.key,
-            s.cores,
-            s.cycles,
-            s.cycles_l2,
-            s.l2_factor(),
-            s.l2_hits,
-            s.l2_miss_stalls,
-            s.gm_bytes,
-            s.sharded,
-            s.declines
-        );
-        out.push_str(if i + 1 == backward.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ],\n  \"tuner\": [\n");
-    for (i, t) in tuner.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"key\": \"{}\", \"chosen\": \"{}\", \"predicted_cycles\": {}, \
-             \"tuned_cycles\": {}, \"direct_cycles\": {}, \"im2col_cycles\": {}}}",
-            t.key, t.chosen, t.predicted_cycles, t.tuned_cycles, t.direct_cycles, t.im2col_cycles
-        );
-        out.push_str(if i + 1 == tuner.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ],\n  \"model\": [\n");
-    for (i, m) in model.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"key\": \"{}\", \"layered_cycles\": {}, \"fused_cycles\": {}, \
-             \"fused_gain\": {:.4}, \"conv_materialised_cycles\": {}, \
-             \"conv_implicit_cycles\": {}, \"l1_peak_materialised\": {}, \
-             \"l1_peak_implicit\": {}, \"l1_shrink\": {:.4}, \
-             \"gm_bytes_layered\": {}, \"gm_bytes_fused\": {}, \"ub_peak_fused\": {}}}",
-            m.key,
-            m.layered_cycles,
-            m.fused_cycles,
-            m.fused_gain(),
-            m.conv_materialised_cycles,
-            m.conv_implicit_cycles,
-            m.l1_peak_materialised,
-            m.l1_peak_implicit,
-            m.l1_shrink(),
-            m.gm_bytes_layered,
-            m.gm_bytes_fused,
-            m.ub_peak_fused
-        );
-        out.push_str(if i + 1 == model.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parse a `BENCH_pooling.json`-format document back into metrics.
-pub fn parse_metrics(doc: &str) -> Result<Vec<Metric>, String> {
-    let v = json::parse(doc).map_err(|e| e.to_string())?;
-    let arr = v
-        .get("metrics")
-        .and_then(|m| m.as_arr())
-        .ok_or("missing \"metrics\" array")?;
-    let field = |m: &json::Value, name: &'static str| {
-        m.get(name)
-            .and_then(|c| c.as_u64())
-            .ok_or(format!("metric missing \"{name}\""))
-    };
-    // Columns added after a baseline was committed parse as 0 so the
-    // gate can regenerate across a schema change; `compare` treats a
-    // zero baseline as "new ceiling", not a regression.
-    let optional =
-        |m: &json::Value, name: &'static str| m.get(name).and_then(|c| c.as_u64()).unwrap_or(0);
-    arr.iter()
-        .map(|m| {
-            Ok(Metric {
-                key: m
-                    .get("key")
-                    .and_then(|k| k.as_str())
-                    .ok_or("metric missing \"key\"".to_string())?
-                    .to_string(),
-                standard_cycles: field(m, "standard_cycles")?,
-                accelerated_cycles: field(m, "accelerated_cycles")?,
-                standard_cycles_single: field(m, "standard_cycles_single")?,
-                accelerated_cycles_single: field(m, "accelerated_cycles_single")?,
-                standard_cycles_db: field(m, "standard_cycles_db")?,
-                accelerated_cycles_db: field(m, "accelerated_cycles_db")?,
-                ub_peak: field(m, "ub_peak")?,
-                l1_peak: field(m, "l1_peak")?,
-                ub_peak_db: field(m, "ub_peak_db")?,
-                l1_peak_db: field(m, "l1_peak_db")?,
-                standard_cycles_norename: optional(m, "standard_cycles_norename"),
-                accelerated_cycles_norename: optional(m, "accelerated_cycles_norename"),
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()
-}
-
-/// Parse the `scaling` section of a `BENCH_pooling.json`-format
-/// document. A baseline committed before the scaling gate existed has no
-/// section and parses as the empty list — [`compare_scaling`] then
-/// treats every current row as a new ceiling, mirroring how
-/// [`parse_metrics`] handles columns added after a baseline was
-/// committed.
-pub fn parse_scaling(doc: &str) -> Result<Vec<ScalingMetric>, String> {
-    let v = json::parse(doc).map_err(|e| e.to_string())?;
-    let Some(arr) = v.get("scaling").and_then(|m| m.as_arr()) else {
-        return Ok(Vec::new());
-    };
-    let field = |m: &json::Value, name: &'static str| {
-        m.get(name)
-            .and_then(|c| c.as_u64())
-            .ok_or(format!("scaling row missing \"{name}\""))
-    };
-    arr.iter()
-        .map(|m| {
-            Ok(ScalingMetric {
-                key: m
-                    .get("key")
-                    .and_then(|k| k.as_str())
-                    .ok_or("scaling row missing \"key\"".to_string())?
-                    .to_string(),
-                cores: field(m, "cores")?,
-                cycles: field(m, "cycles")?,
-                cycles_contended: field(m, "cycles_contended")?,
-                contention_stalls: field(m, "contention_stalls")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()
-}
-
-/// Compare current scaling rows against a baseline's. Flags a tracked
-/// row that disappeared, or one whose cycles (either memory model) grew
-/// by more than `tolerance`. New rows pass — they are fresh ceilings.
-pub fn compare_scaling(
-    current: &[ScalingMetric],
-    baseline: &[ScalingMetric],
-    tolerance: f64,
-) -> Vec<String> {
-    let mut regressions = Vec::new();
-    for b in baseline {
-        let Some(c) = current.iter().find(|c| c.key == b.key) else {
-            regressions.push(format!("{}: tracked scaling row disappeared", b.key));
-            continue;
-        };
-        for (what, now, base) in [
-            ("independent", c.cycles, b.cycles),
-            ("contended", c.cycles_contended, b.cycles_contended),
-        ] {
-            let ratio = now as f64 / base.max(1) as f64;
-            if base > 0 && ratio > 1.0 + tolerance {
-                regressions.push(format!(
-                    "{} ({what}): {now} vs baseline {base} ({:+.1}%)",
-                    b.key,
-                    (ratio - 1.0) * 100.0
-                ));
-            }
-        }
-    }
-    regressions
-}
-
-/// Parse the `scaling-backward` section of a `BENCH_pooling.json`-format
-/// document. A baseline committed before the backward-scaling gate
-/// existed has no section and parses as the empty list —
-/// [`compare_backward_scaling`] then treats every current row as a new
-/// ceiling, mirroring [`parse_scaling`].
-pub fn parse_backward_scaling(doc: &str) -> Result<Vec<BackwardScalingMetric>, String> {
-    let v = json::parse(doc).map_err(|e| e.to_string())?;
-    let Some(arr) = v.get("scaling-backward").and_then(|m| m.as_arr()) else {
-        return Ok(Vec::new());
-    };
-    let field = |m: &json::Value, name: &'static str| {
-        m.get(name)
-            .and_then(|c| c.as_u64())
-            .ok_or(format!("scaling-backward row missing \"{name}\""))
-    };
-    arr.iter()
-        .map(|m| {
-            Ok(BackwardScalingMetric {
-                key: m
-                    .get("key")
-                    .and_then(|k| k.as_str())
-                    .ok_or("scaling-backward row missing \"key\"".to_string())?
-                    .to_string(),
-                cores: field(m, "cores")?,
-                cycles: field(m, "cycles")?,
-                cycles_l2: field(m, "cycles_l2")?,
-                l2_hits: field(m, "l2_hits")?,
-                l2_miss_stalls: field(m, "l2_miss_stalls")?,
-                gm_bytes: field(m, "gm_bytes")?,
-                sharded: field(m, "sharded")?,
-                declines: field(m, "declines")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()
-}
-
-/// Compare current backward-scaling rows against a baseline's. Flags a
-/// tracked row that disappeared, cycles (either memory model) more than
-/// `tolerance` worse, a partition-choice flip (the partitioner is
-/// deterministic — a flip is a policy change to re-baseline
-/// deliberately), or a row whose L2 locality vanished (`l2_hits` falling
-/// to zero on a row that had hits). New rows pass — fresh ceilings.
-pub fn compare_backward_scaling(
-    current: &[BackwardScalingMetric],
-    baseline: &[BackwardScalingMetric],
-    tolerance: f64,
-) -> Vec<String> {
-    let mut regressions = Vec::new();
-    for b in baseline {
-        let Some(c) = current.iter().find(|c| c.key == b.key) else {
-            regressions.push(format!(
-                "{}: tracked scaling-backward row disappeared",
-                b.key
-            ));
-            continue;
-        };
-        for (what, now, base) in [
-            ("independent", c.cycles, b.cycles),
-            ("l2", c.cycles_l2, b.cycles_l2),
-        ] {
-            let ratio = now as f64 / base.max(1) as f64;
-            if base > 0 && ratio > 1.0 + tolerance {
-                regressions.push(format!(
-                    "{} ({what}): {now} vs baseline {base} ({:+.1}%)",
-                    b.key,
-                    (ratio - 1.0) * 100.0
-                ));
-            }
-        }
-        if c.sharded != b.sharded {
-            regressions.push(format!(
-                "{}: backward partition choice flipped ({} -> {})",
-                b.key,
-                if b.sharded == 1 {
-                    "sub-plane"
-                } else {
-                    "per-plane"
-                },
-                if c.sharded == 1 {
-                    "sub-plane"
-                } else {
-                    "per-plane"
-                }
-            ));
-        }
-        if b.l2_hits > 0 && c.l2_hits == 0 {
-            regressions.push(format!(
-                "{}: L2 locality vanished ({} line hits -> 0)",
-                b.key, b.l2_hits
-            ));
-        }
-    }
-    regressions
-}
-
-/// Parse the `tuner` section of a `BENCH_pooling.json`-format document.
-/// A baseline committed before the auto-tuner existed has no section and
-/// parses as the empty list — [`compare_tuner`] then treats every
-/// current row as a new ceiling.
-pub fn parse_tuner(doc: &str) -> Result<Vec<TunerMetric>, String> {
-    let v = json::parse(doc).map_err(|e| e.to_string())?;
-    let Some(arr) = v.get("tuner").and_then(|m| m.as_arr()) else {
-        return Ok(Vec::new());
-    };
-    let field = |m: &json::Value, name: &'static str| {
-        m.get(name)
-            .and_then(|c| c.as_u64())
-            .ok_or(format!("tuner row missing \"{name}\""))
-    };
-    let string = |m: &json::Value, name: &'static str| {
-        m.get(name)
-            .and_then(|c| c.as_str())
-            .map(str::to_string)
-            .ok_or(format!("tuner row missing \"{name}\""))
-    };
-    arr.iter()
-        .map(|m| {
-            Ok(TunerMetric {
-                key: string(m, "key")?,
-                chosen: string(m, "chosen")?,
-                predicted_cycles: field(m, "predicted_cycles")?,
-                tuned_cycles: field(m, "tuned_cycles")?,
-                direct_cycles: field(m, "direct_cycles")?,
-                im2col_cycles: field(m, "im2col_cycles")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()
-}
-
-/// Compare current tuner rows against a baseline's. Flags a tracked row
-/// that disappeared, a chosen-algorithm flip (the simulator is
-/// deterministic — a flip is a policy change that must be re-baselined
-/// deliberately), or tuned cycles more than `tolerance` worse. New rows
-/// pass — they are fresh ceilings.
-pub fn compare_tuner(
-    current: &[TunerMetric],
-    baseline: &[TunerMetric],
-    tolerance: f64,
-) -> Vec<String> {
-    let mut regressions = Vec::new();
-    for b in baseline {
-        let Some(c) = current.iter().find(|c| c.key == b.key) else {
-            regressions.push(format!("{}: tracked tuner row disappeared", b.key));
-            continue;
-        };
-        if c.chosen != b.chosen {
-            regressions.push(format!(
-                "{}: chosen algorithm flipped ({} -> {})",
-                b.key, b.chosen, c.chosen
-            ));
-        }
-        let ratio = c.tuned_cycles as f64 / b.tuned_cycles.max(1) as f64;
-        if b.tuned_cycles > 0 && ratio > 1.0 + tolerance {
-            regressions.push(format!(
-                "{} (tuned): {} vs baseline {} ({:+.1}%)",
-                b.key,
-                c.tuned_cycles,
-                b.tuned_cycles,
-                (ratio - 1.0) * 100.0
-            ));
-        }
-    }
-    regressions
-}
-
-/// Compare current metrics against a baseline. Returns the list of
-/// regressions — a baseline metric that disappeared, or one whose cycle
-/// count (either implementation, either issue model) or buffer peak grew
-/// by more than `tolerance`. An empty list means the gate passes;
-/// improvements and new metrics pass.
-pub fn compare(current: &[Metric], baseline: &[Metric], tolerance: f64) -> Vec<String> {
-    let mut regressions = Vec::new();
-    for b in baseline {
-        let Some(c) = current.iter().find(|c| c.key == b.key) else {
-            regressions.push(format!("{}: tracked metric disappeared", b.key));
-            continue;
-        };
-        for (what, now, base) in [
-            ("standard", c.standard_cycles, b.standard_cycles),
-            ("accelerated", c.accelerated_cycles, b.accelerated_cycles),
-            (
-                "standard single-issue",
-                c.standard_cycles_single,
-                b.standard_cycles_single,
-            ),
-            (
-                "accelerated single-issue",
-                c.accelerated_cycles_single,
-                b.accelerated_cycles_single,
-            ),
-            (
-                "standard double-buffered",
-                c.standard_cycles_db,
-                b.standard_cycles_db,
-            ),
-            (
-                "accelerated double-buffered",
-                c.accelerated_cycles_db,
-                b.accelerated_cycles_db,
-            ),
-            (
-                "standard no-rename",
-                c.standard_cycles_norename,
-                b.standard_cycles_norename,
-            ),
-            (
-                "accelerated no-rename",
-                c.accelerated_cycles_norename,
-                b.accelerated_cycles_norename,
-            ),
-            ("UB peak", c.ub_peak, b.ub_peak),
-            ("L1 peak", c.l1_peak, b.l1_peak),
-            ("UB peak double-buffered", c.ub_peak_db, b.ub_peak_db),
-            ("L1 peak double-buffered", c.l1_peak_db, b.l1_peak_db),
-        ] {
-            // A metric absent from the baseline (0) that appears now is a
-            // new ceiling, not a regression of an old one.
-            let ratio = now as f64 / base.max(1) as f64;
-            if base > 0 && ratio > 1.0 + tolerance {
-                regressions.push(format!(
-                    "{} ({what}): {now} vs baseline {base} ({:+.1}%)",
-                    b.key,
-                    (ratio - 1.0) * 100.0
-                ));
-            }
-        }
-    }
-    regressions
-}
-
-/// Run the full gate against [`COMMITTED_BASELINE`]: collect, compare,
-/// and return the rendered `BENCH_pooling.json` contents on success or
-/// the regression list on failure.
-pub fn run() -> Result<String, Vec<String>> {
-    let baseline = parse_metrics(COMMITTED_BASELINE)
-        .map_err(|e| vec![format!("committed baseline unreadable: {e}")])?;
-    let base_scaling = parse_scaling(COMMITTED_BASELINE)
-        .map_err(|e| vec![format!("committed baseline scaling unreadable: {e}")])?;
-    let base_backward = parse_backward_scaling(COMMITTED_BASELINE).map_err(|e| {
-        vec![format!(
-            "committed baseline scaling-backward unreadable: {e}"
-        )]
-    })?;
-    let base_tuner = parse_tuner(COMMITTED_BASELINE)
-        .map_err(|e| vec![format!("committed baseline tuner unreadable: {e}")])?;
-    let base_model = parse_model(COMMITTED_BASELINE)
-        .map_err(|e| vec![format!("committed baseline model unreadable: {e}")])?;
-    let current = collect();
-    let scaling = collect_scaling();
-    let backward = collect_backward_scaling();
-    let tuner = collect_tuner();
-    let model = collect_model();
-    let mut regressions = compare(&current, &baseline, TOLERANCE);
-    regressions.extend(compare_scaling(&scaling, &base_scaling, TOLERANCE));
-    regressions.extend(compare_backward_scaling(
-        &backward,
-        &base_backward,
-        TOLERANCE,
-    ));
-    regressions.extend(compare_tuner(&tuner, &base_tuner, TOLERANCE));
-    regressions.extend(compare_model(&model, &base_model, TOLERANCE));
-    if regressions.is_empty() {
-        Ok(to_json(
-            &current,
-            &scaling,
-            &backward,
-            &tuner,
-            &model,
-            Some(&baseline),
-        ))
-    } else {
-        Err(regressions)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::COMMITTED_HOST_BASELINE;
 
-    fn m(key: &str, s: u64, a: u64) -> Metric {
-        Metric {
-            key: key.into(),
-            standard_cycles: s,
-            accelerated_cycles: a,
-            standard_cycles_single: s + s / 2,
-            accelerated_cycles_single: a + a / 2,
-            standard_cycles_db: s.saturating_sub(s / 10),
-            accelerated_cycles_db: a.saturating_sub(a / 10),
-            ub_peak: 4096,
-            l1_peak: 0,
-            ub_peak_db: 8192,
-            l1_peak_db: 0,
-            standard_cycles_norename: s,
-            accelerated_cycles_norename: a,
-        }
+    fn row(key: &str, fields: &[(&'static str, u64)]) -> Row {
+        Row::new(key, fields.iter().map(|&(n, v)| (n, Int(v))))
     }
 
-    fn sm(key: &str, cores: u64, cycles: u64) -> ScalingMetric {
-        ScalingMetric {
-            key: key.into(),
-            cores,
-            cycles,
-            cycles_contended: cycles + cycles / 4,
-            contention_stalls: cores * 10,
-        }
+    fn doc(section: &str, rows: Vec<Row>) -> Doc {
+        Doc::new("pooling", [(section, rows)])
     }
 
-    fn tm(key: &str, chosen: &str, tuned: u64, direct: u64, im2col: u64) -> TunerMetric {
-        TunerMetric {
-            key: key.into(),
-            chosen: chosen.into(),
-            predicted_cycles: tuned + tuned / 10,
-            tuned_cycles: tuned,
-            direct_cycles: direct,
-            im2col_cycles: im2col,
+    #[test]
+    fn committed_baselines_round_trip_byte_for_byte() {
+        for text in [COMMITTED_BASELINE, COMMITTED_HOST_BASELINE] {
+            assert_eq!(render(&parse(text).expect("baseline parses")), text);
         }
     }
 
     #[test]
-    fn json_round_trip() {
-        let ms = vec![m("fig7a/1x1x16", 1000, 250), m("fig8s2/16x16", 77, 33)];
-        let doc = to_json(&ms, &[], &[], &[], &[], None);
-        assert_eq!(parse_metrics(&doc).unwrap(), ms);
-        assert!(doc.contains("\"speedup_single\""));
-        assert!(doc.contains("\"rename_gain\""));
-        assert!(doc.contains("\"ub_peak\": 4096"));
-        // A pre-renaming baseline (no norename columns) still parses —
-        // the missing columns come back as 0 and compare() skips them.
-        let legacy = doc
-            .replace(", \"standard_cycles_norename\": 1000", "")
-            .replace(", \"standard_cycles_norename\": 77", "")
-            .replace(", \"accelerated_cycles_norename\": 250", "")
-            .replace(", \"accelerated_cycles_norename\": 33", "");
-        let parsed = parse_metrics(&legacy).unwrap();
-        assert_eq!(parsed[0].standard_cycles_norename, 0);
-        assert!(compare(&ms, &parsed, TOLERANCE).is_empty());
-        // with-baseline rendering stays parseable
-        let doc2 = to_json(&ms, &[], &[], &[], &[], Some(&ms));
-        assert!(doc2.contains("\"vs_baseline_standard\": 1.0000"));
-        assert_eq!(parse_metrics(&doc2).unwrap(), ms);
-    }
-
-    #[test]
-    fn scaling_section_round_trips_and_tolerates_legacy_baselines() {
-        let ms = vec![m("fig7a/1x1x16", 1000, 250)];
-        let ss = vec![
-            sm("scaling/1x1x16/c1", 1, 4000),
-            sm("scaling/1x1x16/c8", 8, 600),
+    fn checks_keep_every_bound_of_the_per_section_comparers() {
+        use Policy::*;
+        // Copied from the per-section comparers this schema replaced:
+        // 31 field checks plus one "row disappeared" check per section.
+        const BEFORE: &[(&str, &str, Policy, f64)] = &[
+            ("metrics", "key", Present, 0.0),
+            ("metrics", "standard_cycles", Ceiling, 0.05),
+            ("metrics", "accelerated_cycles", Ceiling, 0.05),
+            ("metrics", "standard_cycles_single", Ceiling, 0.05),
+            ("metrics", "accelerated_cycles_single", Ceiling, 0.05),
+            ("metrics", "standard_cycles_db", Ceiling, 0.05),
+            ("metrics", "accelerated_cycles_db", Ceiling, 0.05),
+            ("metrics", "standard_cycles_norename", Ceiling, 0.05),
+            ("metrics", "accelerated_cycles_norename", Ceiling, 0.05),
+            ("metrics", "ub_peak", Ceiling, 0.05),
+            ("metrics", "l1_peak", Ceiling, 0.05),
+            ("metrics", "ub_peak_db", Ceiling, 0.05),
+            ("metrics", "l1_peak_db", Ceiling, 0.05),
+            ("scaling", "key", Present, 0.0),
+            ("scaling", "cycles", Ceiling, 0.05),
+            ("scaling", "cycles_contended", Ceiling, 0.05),
+            ("scaling-backward", "key", Present, 0.0),
+            ("scaling-backward", "cycles", Ceiling, 0.05),
+            ("scaling-backward", "cycles_l2", Ceiling, 0.05),
+            ("scaling-backward", "sharded", NoFlip, 0.0),
+            ("scaling-backward", "l2_hits", Positive, 0.0),
+            ("tuner", "key", Present, 0.0),
+            ("tuner", "chosen", NoFlip, 0.0),
+            ("tuner", "tuned_cycles", Ceiling, 0.05),
+            ("model", "key", Present, 0.0),
+            ("model", "layered_cycles", Ceiling, 0.05),
+            ("model", "fused_cycles", Ceiling, 0.05),
+            ("model", "conv_materialised_cycles", Ceiling, 0.05),
+            ("model", "conv_implicit_cycles", Ceiling, 0.05),
+            ("model", "l1_peak_materialised", Ceiling, 0.05),
+            ("model", "l1_peak_implicit", Ceiling, 0.05),
+            ("model", "gm_bytes_layered", Ceiling, 0.05),
+            ("model", "gm_bytes_fused", Ceiling, 0.05),
+            ("model", "ub_peak_fused", Ceiling, 0.05),
+            ("host", "key", Present, 0.0),
+            ("host", "sliced_speedup", Floor, 0.30),
+            ("host", "sliced_speedup", GeomeanFloor, 0.15),
         ];
-        let doc = to_json(&ms, &ss, &[], &[], &[], None);
-        assert_eq!(parse_scaling(&doc).unwrap(), ss);
-        assert_eq!(parse_metrics(&doc).unwrap(), ms);
-        assert!(doc.contains("\"contention_factor\": 1.2500"));
-        // A baseline committed before the scaling gate has no section:
-        // it parses as empty and every current row is a new ceiling.
-        let legacy = to_json(&ms, &[], &[], &[], &[], None);
-        let base = parse_scaling(&legacy).unwrap();
-        assert!(base.is_empty());
-        assert!(compare_scaling(&ss, &base, TOLERANCE).is_empty());
-    }
-
-    fn bsm(
-        key: &str,
-        cores: u64,
-        cycles: u64,
-        sharded: u64,
-        l2_hits: u64,
-    ) -> BackwardScalingMetric {
-        BackwardScalingMetric {
-            key: key.into(),
-            cores,
-            cycles,
-            cycles_l2: cycles + cycles / 5,
-            l2_hits,
-            l2_miss_stalls: cycles / 8,
-            gm_bytes: 1 << 20,
-            sharded,
-            declines: 0,
+        assert_eq!(BEFORE.iter().filter(|c| c.2 != Present).count(), 31);
+        let now = checks();
+        for &(section, field, policy, bound) in BEFORE {
+            assert!(
+                now.iter()
+                    .any(|c| (c.section, c.field, c.policy, c.bound)
+                        == (section, field, policy, bound)),
+                "lost bound: {section}/{field} {policy:?} {bound}"
+            );
         }
     }
 
     #[test]
-    fn backward_scaling_section_round_trips_and_tolerates_legacy_baselines() {
-        let ms = vec![m("fig7a/1x1x16", 1000, 250)];
-        let bs = vec![
-            bsm("scaling-backward/1x1x16/c1", 1, 4000, 0, 0),
-            bsm("scaling-backward/1x1x16/c8", 8, 600, 1, 420),
-        ];
-        let doc = to_json(&ms, &[], &bs, &[], &[], None);
-        assert_eq!(parse_backward_scaling(&doc).unwrap(), bs);
-        assert_eq!(parse_metrics(&doc).unwrap(), ms);
-        assert!(doc.contains("\"l2_factor\": 1.2000"));
-        assert!(doc.contains("\"sharded\": 1"));
-        // A baseline committed before the backward-scaling gate has no
-        // section: it parses as empty and every current row is a new
-        // ceiling.
-        let legacy = to_json(&ms, &[], &[], &[], &[], None);
-        let base = parse_backward_scaling(&legacy).unwrap();
-        assert!(base.is_empty());
-        assert!(compare_backward_scaling(&bs, &base, TOLERANCE).is_empty());
+    fn absent_section_and_field_are_new_but_zero_is_a_ceiling() {
+        // The zero case is the committed fig7c rows' `l1_peak: 0`: a
+        // lowering that starts staging in L1 must fail the gate, not
+        // pass as a "new ceiling".
+        let l1 = |peak| row("fig7c/a", &[("standard_cycles", 100), ("l1_peak", peak)]);
+        let no_l1 = row("fig7c/a", &[("standard_cycles", 100)]);
+        let current = doc("metrics", vec![l1(4096)]);
+        for (case, baseline, want) in [
+            ("absent section", doc("model", vec![]), vec![]),
+            ("absent field", doc("metrics", vec![no_l1]), vec![]),
+            (
+                "zero field",
+                doc("metrics", vec![l1(0)]),
+                vec!["fig7c/a (l1_peak): 4096 vs baseline 0 (+inf%)"],
+            ),
+            ("equal field", doc("metrics", vec![l1(4096)]), vec![]),
+        ] {
+            assert_eq!(compare(&current, &baseline), want, "{case}");
+        }
     }
 
     #[test]
-    fn compare_backward_scaling_flags_flips_and_regressions() {
-        let base = vec![
-            bsm("scaling-backward/a/c1", 1, 4000, 0, 0),
-            bsm("scaling-backward/a/c8", 8, 600, 1, 420),
-        ];
+    fn ceilings_pass_noise_and_new_rows_and_flag_growth_and_loss() {
+        let cols = |s, a, ub| {
+            [
+                ("standard_cycles", s),
+                ("accelerated_cycles", a),
+                ("ub_peak", ub),
+            ]
+        };
+        let base = doc(
+            "metrics",
+            vec![
+                row("a", &cols(1000, 100, 4096)),
+                row("b", &cols(1000, 100, 4096)),
+            ],
+        );
         // within tolerance + improvement + new row → pass
-        let ok = vec![
-            bsm("scaling-backward/a/c1", 1, 4100, 0, 0),
-            bsm("scaling-backward/a/c8", 8, 540, 1, 500),
-            bsm("scaling-backward/a/c32", 32, 200, 1, 900),
-        ];
-        assert!(compare_backward_scaling(&ok, &base, TOLERANCE).is_empty());
-        // a 6% regression on the L2 column only → fail
-        let mut slow = base.clone();
-        slow[1].cycles_l2 = 770;
-        let regs = compare_backward_scaling(&slow, &base, TOLERANCE);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].contains("scaling-backward/a/c8 (l2)"));
-        // a partition-choice flip fails even when cycles improve
-        let mut flipped = base.clone();
-        flipped[1].sharded = 0;
-        flipped[1].cycles = 500;
-        flipped[1].cycles_l2 = 600;
-        let regs = compare_backward_scaling(&flipped, &base, TOLERANCE);
-        assert!(regs
-            .iter()
-            .any(|r| r.contains("flipped (sub-plane -> per-plane)")));
-        // vanished L2 locality fails
-        let mut cold = base.clone();
-        cold[1].l2_hits = 0;
-        let regs = compare_backward_scaling(&cold, &base, TOLERANCE);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].contains("L2 locality vanished"));
-        // disappeared row fails
-        let gone = vec![base[0].clone()];
-        assert_eq!(compare_backward_scaling(&gone, &base, TOLERANCE).len(), 1);
-    }
-
-    #[test]
-    fn tuner_section_round_trips_and_tolerates_legacy_baselines() {
-        let ms = vec![m("fig7a/1x1x16", 1000, 250)];
-        let ts = vec![
-            tm("tuner/fig8s1/16x16", "direct", 2201, 2201, 3452),
-            tm("tuner/fig8s2/16x16", "im2col", 1505, 3233, 1505),
-        ];
-        let doc = to_json(&ms, &[], &[], &ts, &[], None);
-        assert_eq!(parse_tuner(&doc).unwrap(), ts);
-        assert_eq!(parse_metrics(&doc).unwrap(), ms);
-        assert!(doc.contains("\"chosen\": \"direct\""));
-        // A baseline committed before the tuner gate has no section: it
-        // parses as empty and every current row is a new ceiling.
-        let legacy = to_json(&ms, &[], &[], &[], &[], None);
-        let base = parse_tuner(&legacy).unwrap();
-        assert!(base.is_empty());
-        assert!(compare_tuner(&ts, &base, TOLERANCE).is_empty());
-    }
-
-    fn mm(key: &str, layered: u64, fused: u64) -> ModelMetric {
-        ModelMetric {
-            key: key.into(),
-            layered_cycles: layered,
-            fused_cycles: fused,
-            conv_materialised_cycles: layered / 2,
-            conv_implicit_cycles: (layered / 2).saturating_sub(10),
-            l1_peak_materialised: 40960,
-            l1_peak_implicit: 20480,
-            gm_bytes_layered: 100000,
-            gm_bytes_fused: 60000,
-            ub_peak_fused: 131072,
+        let ok = doc(
+            "metrics",
+            vec![
+                row("a", &cols(1040, 100, 4096)),
+                row("b", &cols(900, 90, 4096)),
+                row("c", &cols(5, 5, 1)),
+            ],
+        );
+        assert!(compare(&ok, &base).is_empty());
+        // 6% on one cycle column, or a doubled peak → exactly that field
+        for (slow, field) in [
+            (cols(1000, 106, 4096), "a (accelerated_cycles)"),
+            (cols(1000, 100, 8192), "a (ub_peak)"),
+        ] {
+            let cur = doc(
+                "metrics",
+                vec![row("a", &slow), row("b", &cols(1000, 100, 4096))],
+            );
+            let regs = compare(&cur, &base);
+            assert_eq!(regs.len(), 1, "{regs:?}");
+            assert!(regs[0].starts_with(field), "{regs:?}");
         }
+        // disappeared row, dropped gated field → fail
+        let gone = doc("metrics", vec![row("a", &cols(1000, 100, 4096))]);
+        assert_eq!(
+            compare(&gone, &base),
+            ["b: tracked metrics row disappeared"]
+        );
+        let dropped = doc(
+            "metrics",
+            vec![
+                row(
+                    "a",
+                    &[("standard_cycles", 1000), ("accelerated_cycles", 100)],
+                ),
+                row("b", &cols(1000, 100, 4096)),
+            ],
+        );
+        assert_eq!(
+            compare(&dropped, &base),
+            ["a (ub_peak): gated field disappeared"]
+        );
     }
 
     #[test]
-    fn model_section_round_trips_and_tolerates_legacy_baselines() {
-        let ms = vec![m("fig7a/1x1x16", 1000, 250)];
-        let rows = vec![mm("model/vgg16-seg", 90000, 80000)];
-        let doc = to_json(&ms, &[], &[], &[], &rows, None);
-        assert_eq!(parse_model(&doc).unwrap(), rows);
-        assert_eq!(parse_metrics(&doc).unwrap(), ms);
-        assert!(doc.contains("\"fused_gain\": 1.1250"));
-        assert!(doc.contains("\"l1_shrink\": 0.5000"));
-        // A baseline committed before whole-model tracking has no
-        // section: it parses as empty and every current row is a new
-        // ceiling.
-        let legacy = to_json(&ms, &[], &[], &[], &[], None);
-        let base = parse_model(&legacy).unwrap();
-        assert!(base.is_empty());
-        assert!(compare_model(&rows, &base, TOLERANCE).is_empty());
-    }
-
-    #[test]
-    fn compare_model_flags_only_real_regressions() {
-        let base = vec![mm("model/a", 90000, 80000), mm("model/b", 50000, 40000)];
-        // within tolerance + improvement + new row → pass
-        let ok = vec![
-            mm("model/a", 93000, 80000),
-            mm("model/b", 45000, 36000),
-            mm("model/c", 10, 9),
-        ];
-        assert!(compare_model(&ok, &base, TOLERANCE).is_empty());
-        // 6% regression on the fused column only → fail
-        let slow = vec![mm("model/a", 90000, 85000), mm("model/b", 50000, 40000)];
-        let regs = compare_model(&slow, &base, TOLERANCE);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].contains("model/a (fused)"));
-        // an L1-peak blow-up fails even with unchanged cycles
-        let mut fat = vec![mm("model/a", 90000, 80000), mm("model/b", 50000, 40000)];
-        fat[0].l1_peak_implicit = 40960;
-        let regs = compare_model(&fat, &base, TOLERANCE);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].contains("L1 peak implicit"));
-        // disappeared row → fail
-        let gone = vec![mm("model/a", 90000, 80000)];
-        assert_eq!(compare_model(&gone, &base, TOLERANCE).len(), 1);
-    }
-
-    #[test]
-    fn compare_tuner_flags_flips_and_regressions() {
-        let base = vec![
-            tm("tuner/a", "direct", 1000, 1000, 2000),
-            tm("tuner/b", "im2col", 500, 900, 500),
-        ];
-        // within tolerance + improvement + new row → pass
-        let ok = vec![
-            tm("tuner/a", "direct", 1040, 1040, 2000),
-            tm("tuner/b", "im2col", 450, 900, 450),
-            tm("tuner/c", "fold", 5, 0, 9),
-        ];
-        assert!(compare_tuner(&ok, &base, TOLERANCE).is_empty());
+    fn choices_may_not_flip_and_l2_hits_may_not_vanish() {
+        let tuner = |chosen: &str, tuned| {
+            Row::new(
+                "tuner/a",
+                [
+                    ("chosen", Text(chosen.into())),
+                    ("tuned_cycles", Int(tuned)),
+                ],
+            )
+        };
+        let base = doc("tuner", vec![tuner("direct", 1000)]);
         // a chosen-algorithm flip fails even when cycles improve
-        let flipped = vec![
-            tm("tuner/a", "im2col", 900, 1000, 900),
-            tm("tuner/b", "im2col", 500, 900, 500),
-        ];
-        let regs = compare_tuner(&flipped, &base, TOLERANCE);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].contains("flipped (direct -> im2col)"));
-        // a 6% tuned-cycle regression fails
-        let slow = vec![
-            tm("tuner/a", "direct", 1060, 1060, 2000),
-            tm("tuner/b", "im2col", 500, 900, 500),
-        ];
-        assert_eq!(compare_tuner(&slow, &base, TOLERANCE).len(), 1);
-        // disappeared row → fail
-        let gone = vec![tm("tuner/a", "direct", 1000, 1000, 2000)];
-        assert_eq!(compare_tuner(&gone, &base, TOLERANCE).len(), 1);
+        let regs = compare(&doc("tuner", vec![tuner("im2col", 900)]), &base);
+        assert_eq!(
+            regs,
+            ["tuner/a (chosen): choice flipped (\"direct\" -> \"im2col\")"]
+        );
+        assert_eq!(
+            compare(&doc("tuner", vec![tuner("direct", 1060)]), &base).len(),
+            1
+        );
+
+        let bw = |sharded, hits| {
+            row(
+                "scaling-backward/a/c8",
+                &[
+                    ("cycles", 600),
+                    ("cycles_l2", 720),
+                    ("sharded", sharded),
+                    ("l2_hits", hits),
+                ],
+            )
+        };
+        let base = doc("scaling-backward", vec![bw(1, 420)]);
+        let cur = |sharded, hits| doc("scaling-backward", vec![bw(sharded, hits)]);
+        assert!(compare(&cur(1, 500), &base).is_empty());
+        assert_eq!(
+            compare(&cur(0, 420), &base),
+            ["scaling-backward/a/c8 (sharded): choice flipped (1 -> 0)"]
+        );
+        assert_eq!(
+            compare(&cur(1, 0), &base),
+            ["scaling-backward/a/c8 (l2_hits): vanished (420 -> 0)"]
+        );
+        // a row that never had hits may keep having none
+        let cold = doc("scaling-backward", vec![bw(0, 0)]);
+        assert!(compare(&cold, &cold).is_empty());
     }
 
     #[test]
-    fn compare_scaling_flags_only_real_regressions() {
-        let base = vec![sm("scaling/a/c1", 1, 1000), sm("scaling/a/c8", 8, 200)];
-        // within tolerance + improvement + new row → pass
-        let ok = vec![
-            sm("scaling/a/c1", 1, 1040),
-            sm("scaling/a/c8", 8, 180),
-            sm("scaling/a/c32", 32, 90),
-        ];
-        assert!(compare_scaling(&ok, &base, TOLERANCE).is_empty());
-        // 6% regression on the contended column only → fail
-        let mut slow = vec![sm("scaling/a/c1", 1, 1000), sm("scaling/a/c8", 8, 200)];
-        slow[1].cycles_contended = 265;
-        let regs = compare_scaling(&slow, &base, TOLERANCE);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].contains("scaling/a/c8 (contended)"));
-        // disappeared row → fail
-        let gone = vec![sm("scaling/a/c1", 1, 1000)];
-        assert_eq!(compare_scaling(&gone, &base, TOLERANCE).len(), 1);
-    }
-
-    #[test]
-    fn compare_flags_only_real_regressions() {
-        let base = vec![m("a", 1000, 100), m("b", 1000, 100)];
-        // within tolerance + improvement + new metric → pass
-        let ok = vec![m("a", 1040, 100), m("b", 900, 90), m("c", 5, 5)];
-        assert!(compare(&ok, &base, TOLERANCE).is_empty());
-        // 6% regression on the accelerated dual-pipe column only → fail
-        let mut slow = vec![m("a", 1000, 106), m("b", 1000, 100)];
-        slow[0].standard_cycles_single = 1500;
-        slow[0].accelerated_cycles_single = 150;
-        slow[0].accelerated_cycles_db = 90;
-        slow[0].accelerated_cycles_norename = 100;
-        let regs = compare(&slow, &base, TOLERANCE);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].contains("a (accelerated)"));
-        // disappeared metric → fail
-        let gone = vec![m("a", 1000, 100)];
-        assert_eq!(compare(&gone, &base, TOLERANCE).len(), 1);
-    }
-
-    #[test]
-    fn compare_flags_single_issue_and_peak_regressions() {
-        let base = vec![m("a", 1000, 100)];
-        // regression only in the single-issue column
-        let mut single_slow = vec![m("a", 1000, 100)];
-        single_slow[0].accelerated_cycles_single = 200;
-        let regs = compare(&single_slow, &base, TOLERANCE);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].contains("accelerated single-issue"));
-        // UB footprint grew 2x → fail even though cycles are unchanged
-        let mut fat = vec![m("a", 1000, 100)];
-        fat[0].ub_peak = 8192;
-        let regs = compare(&fat, &base, TOLERANCE);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].contains("UB peak"));
-        // L1 peak 0 in baseline: a new non-zero peak is not flagged
-        // (nothing to regress against), growth from non-zero is.
-        let mut l1 = vec![m("a", 1000, 100)];
-        l1[0].l1_peak = 123;
-        assert!(compare(&l1, &base, TOLERANCE).is_empty());
+    fn vs_baseline_ratios_render_and_parse_back() {
+        let base = parse(COMMITTED_BASELINE).unwrap();
+        let annotated = parse(&render(&with_vs_baseline(base.clone(), &base))).unwrap();
+        for row in annotated.rows("metrics") {
+            assert_eq!(row.get("vs_baseline_standard"), Some(&Ratio(1.0)));
+            assert_eq!(row.get("vs_baseline_accelerated"), Some(&Ratio(1.0)));
+        }
+        assert!(compare(&annotated, &base).is_empty());
     }
 
     #[test]
     fn committed_baseline_parses_and_covers_all_figures() {
-        let base = parse_metrics(COMMITTED_BASELINE).expect("baseline must parse");
+        let doc = parse(COMMITTED_BASELINE).expect("baseline must parse");
+        let base = doc.rows("metrics");
         for prefix in [
             "fig7a/", "fig7b/", "fig7c/", "fig7n4/", "fig8s1/", "fig8s2/", "fig8s3/", "table1/",
         ] {
@@ -2262,23 +1815,23 @@ mod tests {
             base.iter().filter(|m| m.key.starts_with("table1/")).count(),
             10
         );
-        for m in &base {
-            assert!(m.ub_peak > 0, "{}: UB peak must be tracked", m.key);
+        for m in base {
+            assert!(m.int("ub_peak") > 0, "{}: UB peak must be tracked", m.key);
             assert!(
-                m.accelerated_cycles <= m.accelerated_cycles_single,
+                m.int("accelerated_cycles") <= m.int("accelerated_cycles_single"),
                 "{}: dual-pipe cannot be slower than serial",
                 m.key
             );
             // The renaming columns are tracked on every row, and the
             // committed numbers already honour the makespan contract.
             assert!(
-                m.standard_cycles_norename > 0 && m.accelerated_cycles_norename > 0,
+                m.int("standard_cycles_norename") > 0 && m.int("accelerated_cycles_norename") > 0,
                 "{}: no-rename control must be tracked",
                 m.key
             );
             assert!(
-                m.standard_cycles_db <= m.standard_cycles_norename
-                    && m.accelerated_cycles_db <= m.accelerated_cycles_norename,
+                m.int("standard_cycles_db") <= m.int("standard_cycles_norename")
+                    && m.int("accelerated_cycles_db") <= m.int("accelerated_cycles_norename"),
                 "{}: committed baseline shows renaming costing cycles",
                 m.key
             );
@@ -2287,13 +1840,14 @@ mod tests {
         // the cost-aware planner turned a formerly hardcoded decline
         // into a strict renaming win.
         assert!(
-            base.iter().any(|m| m.rename_gain() > 1.0),
+            base.iter()
+                .any(|m| m.ratio_of("accelerated_cycles_norename", "accelerated_cycles_db") > 1.0),
             "baseline records no strict renaming win on any tracked row"
         );
         // The scaling section is committed: every Fig. 7 shape at every
         // swept core count, with the committed numbers already honouring
         // monotone speedup and contended >= independent.
-        let scaling = parse_scaling(COMMITTED_BASELINE).expect("scaling parses");
+        let scaling = doc.rows("scaling");
         assert_eq!(
             scaling.len(),
             3 * SCALING_CORES.len(),
@@ -2302,14 +1856,14 @@ mod tests {
         for rows in scaling.chunks(SCALING_CORES.len()) {
             for pair in rows.windows(2) {
                 assert!(
-                    pair[1].cycles <= pair[0].cycles,
+                    pair[1].int("cycles") <= pair[0].int("cycles"),
                     "{}: committed scaling curve is not monotone",
                     pair[1].key
                 );
             }
             for s in rows {
                 assert!(
-                    s.cycles_contended >= s.cycles,
+                    s.int("cycles_contended") >= s.int("cycles"),
                     "{}: contention can only add cycles",
                     s.key
                 );
@@ -2318,7 +1872,7 @@ mod tests {
         assert!(
             scaling
                 .iter()
-                .any(|s| s.cores == 32 && s.contention_stalls > 0),
+                .any(|s| s.int("cores") == 32 && s.int("contention_stalls") > 0),
             "the full chip must book contention stalls on some shape"
         );
         // The scaling-backward section is committed: every Fig. 7
@@ -2326,7 +1880,7 @@ mod tests {
         // numbers already honouring the halo-merge contract (monotone
         // sub-linear speedup, zero declines, and L2 hits wherever the
         // sub-plane plan was chosen).
-        let backward = parse_backward_scaling(COMMITTED_BASELINE).expect("scaling-backward parses");
+        let backward = doc.rows("scaling-backward");
         assert_eq!(
             backward.len(),
             3 * SCALING_CORES.len(),
@@ -2336,34 +1890,39 @@ mod tests {
         for rows in backward.chunks(SCALING_CORES.len()) {
             for pair in rows.windows(2) {
                 assert!(
-                    pair[1].cycles <= pair[0].cycles,
+                    pair[1].int("cycles") <= pair[0].int("cycles"),
                     "{}: committed backward scaling curve is not monotone",
                     pair[1].key
                 );
             }
             for s in rows {
                 assert!(
-                    s.cycles_l2 >= s.cycles,
+                    s.int("cycles_l2") >= s.int("cycles"),
                     "{}: the L2/HBM stage can only add cycles",
                     s.key
                 );
-                assert_eq!(s.declines, 0, "{}: committed row books a decline", s.key);
+                assert_eq!(
+                    s.int("declines"),
+                    0,
+                    "{}: committed row books a decline",
+                    s.key
+                );
                 assert!(
-                    s.sharded == 0 || s.l2_hits > 0,
+                    s.int("sharded") == 0 || s.int("l2_hits") > 0,
                     "{}: committed sub-plane row books no L2 hits",
                     s.key
                 );
             }
         }
         assert!(
-            backward.iter().any(|s| s.sharded == 1),
+            backward.iter().any(|s| s.int("sharded") == 1),
             "the committed baseline must pin at least one sub-plane backward win"
         );
         // The tuner section is committed: a chosen-algorithm column for
         // every tracked family, with the committed choices already
         // honouring the Fig. 8 crossover and the honesty contract
         // (tuned cycles never above a feasible alternative's).
-        let tuner = parse_tuner(COMMITTED_BASELINE).expect("tuner section parses");
+        let tuner = doc.rows("tuner");
         for prefix in [
             "tuner/fig7a/",
             "tuner/fig7c/",
@@ -2376,19 +1935,30 @@ mod tests {
                 "baseline missing {prefix} tuner rows"
             );
         }
-        for t in &tuner {
+        for t in tuner {
             if t.key.starts_with("tuner/fig8s1/") {
-                assert_eq!(t.chosen, "direct", "{}: committed crossover flipped", t.key);
+                assert_eq!(
+                    t.text("chosen"),
+                    "direct",
+                    "{}: committed crossover flipped",
+                    t.key
+                );
             }
             if t.key.starts_with("tuner/fig8s2/") || t.key.starts_with("tuner/fig7c/") {
-                assert_eq!(t.chosen, "im2col", "{}: committed crossover flipped", t.key);
+                assert_eq!(
+                    t.text("chosen"),
+                    "im2col",
+                    "{}: committed crossover flipped",
+                    t.key
+                );
             }
-            for (what, alt) in [("direct", t.direct_cycles), ("im2col", t.im2col_cycles)] {
+            for what in ["direct", "im2col"] {
+                let alt = t.int(&format!("{what}_cycles"));
                 assert!(
-                    alt == 0 || t.tuned_cycles <= alt,
+                    alt == 0 || t.int("tuned_cycles") <= alt,
                     "{}: committed tuned cycles {} exceed the forced {} run's {}",
                     t.key,
-                    t.tuned_cycles,
+                    t.int("tuned_cycles"),
                     what,
                     alt
                 );
@@ -2397,22 +1967,22 @@ mod tests {
         // The model section is committed: both pinned conv→pool
         // segments, with the committed numbers already honouring the
         // implicit-im2col and tile-handoff contracts.
-        let model = parse_model(COMMITTED_BASELINE).expect("model section parses");
+        let model = doc.rows("model");
         for name in ["model/vgg16-seg", "model/inception-seg"] {
             let m = model
                 .iter()
                 .find(|m| m.key == name)
                 .unwrap_or_else(|| panic!("baseline missing the {name} row"));
             assert!(
-                m.conv_implicit_cycles <= m.conv_materialised_cycles,
+                m.int("conv_implicit_cycles") <= m.int("conv_materialised_cycles"),
                 "{name}: committed implicit conv cycles exceed materialised"
             );
             assert!(
-                m.l1_peak_implicit < m.l1_peak_materialised,
+                m.int("l1_peak_implicit") < m.int("l1_peak_materialised"),
                 "{name}: committed implicit L1 peak is not a strict shrink"
             );
             assert!(
-                m.gm_bytes_fused < m.gm_bytes_layered,
+                m.int("gm_bytes_fused") < m.int("gm_bytes_layered"),
                 "{name}: committed fused GM traffic is not a strict win"
             );
         }

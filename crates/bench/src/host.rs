@@ -14,12 +14,13 @@
 //!
 //! * **Bit-identity, in-gate.** On every gated workload, [`collect_host`]
 //!   asserts that all backends produce the same output bytes, the same
-//!   [`HwCounters`], the same chip cycles, and the same scratchpad peaks
+//!   [`HwCounters`](dv_sim::HwCounters), the same chip cycles, and the same scratchpad peaks
 //!   as the `Scalar` reference — backends may only move host wall-clock.
 //! * **Relative speed.** Wall times are machine-dependent, so the gate
 //!   does not compare nanoseconds across machines: it gates the
 //!   machine-portable *speedup ratios* (`scalar_ns / sliced_ns` per row)
-//!   against the committed baseline with [`HOST_TOLERANCE`] slack, and
+//!   against the committed baseline — a [`HOST_TOLERANCE`] floor on
+//!   their geometric mean and twice that on each row — and
 //!   [`collect_host`] asserts in-run that `Sliced` still clears the
 //!   [`SLICED_FLOOR`] on at least one Table I workload — the hoisted
 //!   bounds checks are the whole point of the seam, and losing them is a
@@ -28,23 +29,24 @@
 //!   simulated-cycles-per-wall-second are recorded alongside for
 //!   trending.
 //!
+//! The rows use the cycle gate's schema ([`crate::gate::Row`]), so one
+//! [`render`] / [`parse`] / [`compare`] serves both documents; the
+//! `host` bounds are listed in [`crate::gate::checks`].
+//!
 //! Host timing is inherently noisy where cycle counts are deterministic:
 //! [`run_host`] takes the best of [`HOST_GATE_RETRIES`] full collections
 //! before declaring a regression (a loaded CI host needs only one quiet
 //! window to pass), and each number is a median over [`HOST_SAMPLES`]
-//! samples after a warmup pass. Constrained machines can widen the slack
-//! with the [`HOST_TOLERANCE_ENV`] environment variable or deepen the
-//! retry budget with [`HOST_GATE_RETRIES_ENV`]; the retry loop itself is
-//! pinned by tests through the [`run_host_with`] collector seam. When
-//! the executor legitimately changes speed, regenerate with
+//! samples after a warmup pass; the retry loop itself is pinned by tests
+//! through the [`run_host_with`] collector seam. When the executor
+//! legitimately changes speed, regenerate with
 //! `cargo run --release -p dv-bench --bin repro -- gate` and commit the
 //! refreshed `host.json`.
 
+use crate::gate::{compare, parse, ratio, render, Doc, Row, Value::Int};
 use crate::inputs::feature_map;
-use crate::json;
 use dv_core::{table1_workloads, ForwardImpl, PoolingEngine};
 use dv_sim::Backend;
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Relative speedup-ratio loss tolerated before the host gate fails
@@ -61,15 +63,6 @@ pub const HOST_SAMPLES: usize = 5;
 /// regression fails all of them.
 pub const HOST_GATE_RETRIES: usize = 3;
 
-/// Environment variable overriding [`HOST_TOLERANCE`] for the current
-/// run (e.g. `DV_HOST_TOLERANCE=0.30` on a shared CI box). Ignored
-/// unless it parses as a positive float.
-pub const HOST_TOLERANCE_ENV: &str = "DV_HOST_TOLERANCE";
-
-/// Environment variable overriding [`HOST_GATE_RETRIES`]. Ignored unless
-/// it parses as a positive integer.
-pub const HOST_GATE_RETRIES_ENV: &str = "DV_HOST_GATE_RETRIES";
-
 /// The in-run floor for the `Sliced` backend: at least one Table I
 /// workload must run at or above this many times the `Scalar` host
 /// instructions/sec.
@@ -79,55 +72,17 @@ pub const SLICED_FLOOR: f64 = 2.0;
 /// executor legitimately changes speed).
 pub const COMMITTED_HOST_BASELINE: &str = include_str!("../baselines/host.json");
 
-/// One host-throughput row: a Table I workload's accelerated forward
-/// pass timed under every backend, plus the deterministic denominators
-/// (instruction issues and simulated cycles) that turn wall time into
-/// throughput.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HostMetric {
-    /// Stable identifier, e.g. `host/InceptionV3-1/147x147x64`.
-    pub key: String,
-    /// Simulated instruction issues of one run (backend-invariant).
-    pub instructions: u64,
-    /// Dual-pipe chip cycles of one run (backend-invariant).
-    pub sim_cycles: u64,
-    /// Median host wall time of one run under [`Backend::Scalar`].
-    pub scalar_ns: u64,
-    /// Median host wall time under [`Backend::Sliced`].
-    pub sliced_ns: u64,
-    /// Median host wall time under [`Backend::Threaded`].
-    pub threaded_ns: u64,
-}
-
-impl HostMetric {
-    /// Host speedup of the sliced executors over the scalar reference
-    /// (the satellite bugfix's measured win).
-    pub fn sliced_speedup(&self) -> f64 {
-        self.scalar_ns as f64 / self.sliced_ns.max(1) as f64
-    }
-
-    /// Host speedup of the threaded backend over the scalar reference.
-    pub fn threaded_speedup(&self) -> f64 {
-        self.scalar_ns as f64 / self.threaded_ns.max(1) as f64
-    }
-
-    /// Host instructions per second under the given measured wall time.
-    pub fn instr_per_sec(&self, ns: u64) -> f64 {
-        self.instructions as f64 * 1e9 / ns.max(1) as f64
-    }
-
-    /// Simulated cycles retired per host wall-second under the given
-    /// measured wall time — the serving-capacity number.
-    pub fn sim_cycles_per_sec(&self, ns: u64) -> f64 {
-        self.sim_cycles as f64 * 1e9 / ns.max(1) as f64
-    }
-}
-
 /// Replay every Table I workload's Im2col forward under all three
 /// backends, asserting bit-identity in-gate and timing each backend with
 /// the criterion shim's warmup-then-median loop. Panics if `Sliced`
 /// fails [`SLICED_FLOOR`] on every row.
-pub fn collect_host() -> Vec<HostMetric> {
+///
+/// Each row (e.g. `host/InceptionV3-1/147x147x64`) holds the
+/// backend-invariant denominators (instruction issues, dual-pipe chip
+/// cycles), the median wall time per backend, the speedups over
+/// `Scalar`, host instructions/sec, and the sliced backend's simulated
+/// cycles per wall-second.
+pub fn collect_host() -> Vec<Row> {
     let mut out = Vec::new();
     for w in table1_workloads() {
         let shape = format!("{}x{}x{}", w.h, w.w, w.c);
@@ -174,18 +129,38 @@ pub fn collect_host() -> Vec<HostMetric> {
             duration_ns(d)
         };
 
-        out.push(HostMetric {
+        let instructions = run_ref.total.total_issues();
+        let scalar_ns = time_backend(Backend::Scalar);
+        let sliced_ns = time_backend(Backend::Sliced);
+        let threaded_ns = time_backend(Backend::Threaded);
+        out.push(Row::new(
             key,
-            instructions: run_ref.total.total_issues(),
-            sim_cycles: run_ref.cycles,
-            scalar_ns: time_backend(Backend::Scalar),
-            sliced_ns: time_backend(Backend::Sliced),
-            threaded_ns: time_backend(Backend::Threaded),
-        });
+            [
+                ("instructions", Int(instructions)),
+                ("sim_cycles", Int(run_ref.cycles)),
+                ("scalar_ns", Int(scalar_ns)),
+                ("sliced_ns", Int(sliced_ns)),
+                ("threaded_ns", Int(threaded_ns)),
+                ("sliced_speedup", ratio(scalar_ns, sliced_ns)),
+                ("threaded_speedup", ratio(scalar_ns, threaded_ns)),
+                (
+                    "scalar_instr_per_sec",
+                    Int(per_sec(instructions, scalar_ns)),
+                ),
+                (
+                    "sliced_instr_per_sec",
+                    Int(per_sec(instructions, sliced_ns)),
+                ),
+                (
+                    "sliced_sim_cycles_per_sec",
+                    Int(per_sec(run_ref.cycles, sliced_ns)),
+                ),
+            ],
+        ));
     }
     let best = out
         .iter()
-        .map(|m| m.sliced_speedup())
+        .map(|m| m.ratio_of("scalar_ns", "sliced_ns"))
         .fold(0.0f64, f64::max);
     assert!(
         best >= SLICED_FLOOR,
@@ -199,151 +174,15 @@ fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX).max(1)
 }
 
-/// Render host metrics as the `BENCH_host.json` document.
-pub fn to_host_json(metrics: &[HostMetric]) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"host\",\n");
-    let _ = writeln!(out, "  \"tolerance\": {HOST_TOLERANCE},");
-    let _ = writeln!(out, "  \"samples\": {HOST_SAMPLES},");
-    out.push_str("  \"host\": [\n");
-    for (i, m) in metrics.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"key\": \"{}\", \"instructions\": {}, \"sim_cycles\": {}, \
-             \"scalar_ns\": {}, \"sliced_ns\": {}, \"threaded_ns\": {}, \
-             \"sliced_speedup\": {:.4}, \"threaded_speedup\": {:.4}, \
-             \"scalar_instr_per_sec\": {:.0}, \"sliced_instr_per_sec\": {:.0}, \
-             \"sliced_sim_cycles_per_sec\": {:.0}}}",
-            m.key,
-            m.instructions,
-            m.sim_cycles,
-            m.scalar_ns,
-            m.sliced_ns,
-            m.threaded_ns,
-            m.sliced_speedup(),
-            m.threaded_speedup(),
-            m.instr_per_sec(m.scalar_ns),
-            m.instr_per_sec(m.sliced_ns),
-            m.sim_cycles_per_sec(m.sliced_ns),
-        );
-        out.push_str(if i + 1 == metrics.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// `count` per second of `ns` wall time, rounded to the nearest integer
+/// (ties to even).
+fn per_sec(count: u64, ns: u64) -> u64 {
+    (count as f64 * 1e9 / ns.max(1) as f64).round_ties_even() as u64
 }
 
-/// Parse the `host` section of a `BENCH_host.json`-format document. A
-/// document without the section (e.g. a `BENCH_pooling.json` from before
-/// the host gate existed) parses as the empty list — [`compare_host`]
-/// then treats every current row as a fresh baseline, mirroring how
-/// [`crate::gate::parse_scaling`] handles pre-scaling baselines.
-pub fn parse_host(doc: &str) -> Result<Vec<HostMetric>, String> {
-    let v = json::parse(doc).map_err(|e| e.to_string())?;
-    let Some(arr) = v.get("host").and_then(|m| m.as_arr()) else {
-        return Ok(Vec::new());
-    };
-    let field = |m: &json::Value, name: &'static str| {
-        m.get(name)
-            .and_then(|c| c.as_u64())
-            .ok_or(format!("host row missing \"{name}\""))
-    };
-    arr.iter()
-        .map(|m| {
-            Ok(HostMetric {
-                key: m
-                    .get("key")
-                    .and_then(|k| k.as_str())
-                    .ok_or("host row missing \"key\"".to_string())?
-                    .to_string(),
-                instructions: field(m, "instructions")?,
-                sim_cycles: field(m, "sim_cycles")?,
-                scalar_ns: field(m, "scalar_ns")?,
-                sliced_ns: field(m, "sliced_ns")?,
-                threaded_ns: field(m, "threaded_ns")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()
-}
-
-/// Geometric mean of the per-row sliced speedups — the gate's headline
-/// number. Individual rows jitter with host load; the geomean over all
-/// Table I rows is stable, and any executor regression (the fast paths
-/// are shared by every row) moves it.
-pub fn geomean_sliced_speedup(metrics: &[HostMetric]) -> f64 {
-    if metrics.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = metrics.iter().map(|m| m.sliced_speedup().ln()).sum();
-    (log_sum / metrics.len() as f64).exp()
-}
-
-/// Compare current host rows against a baseline's. Absolute nanoseconds
-/// are machine-dependent and never compared; what is gated is the
-/// machine-portable sliced speedup ratio:
-///
-/// * a tracked row that disappeared is a regression;
-/// * the **geometric mean** speedup over all matched rows falling more
-///   than `tolerance` below the baseline's is a regression — every row
-///   exercises the same fast paths, so a real executor regression moves
-///   the aggregate, while single-row timing jitter does not;
-/// * any single row collapsing more than `2 * tolerance` is flagged
-///   too — a belt-and-braces bound wide enough to ride out load spikes.
-///
-/// New rows pass — they are fresh baselines.
-pub fn compare_host(
-    current: &[HostMetric],
-    baseline: &[HostMetric],
-    tolerance: f64,
-) -> Vec<String> {
-    let mut regressions = Vec::new();
-    let mut matched_current = Vec::new();
-    let mut matched_base = Vec::new();
-    for b in baseline {
-        let Some(c) = current.iter().find(|c| c.key == b.key) else {
-            regressions.push(format!("{}: tracked host row disappeared", b.key));
-            continue;
-        };
-        matched_current.push(c.clone());
-        matched_base.push(b.clone());
-        let (now, base) = (c.sliced_speedup(), b.sliced_speedup());
-        if base > 0.0 && now < base * (1.0 - 2.0 * tolerance) {
-            regressions.push(format!(
-                "{} (sliced speedup): {now:.2}x vs baseline {base:.2}x ({:+.1}%)",
-                b.key,
-                (now / base - 1.0) * 100.0
-            ));
-        }
-    }
-    let (now, base) = (
-        geomean_sliced_speedup(&matched_current),
-        geomean_sliced_speedup(&matched_base),
-    );
-    if base > 0.0 && now < base * (1.0 - tolerance) {
-        regressions.push(format!(
-            "geomean sliced speedup: {now:.2}x vs baseline {base:.2}x ({:+.1}%)",
-            (now / base - 1.0) * 100.0
-        ));
-    }
-    regressions
-}
-
-/// The [`run_host`] tolerance: [`HOST_TOLERANCE`] unless
-/// [`HOST_TOLERANCE_ENV`] holds a positive float.
-pub fn host_gate_tolerance() -> f64 {
-    std::env::var(HOST_TOLERANCE_ENV)
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| *t > 0.0)
-        .unwrap_or(HOST_TOLERANCE)
-}
-
-/// The [`run_host`] retry budget: [`HOST_GATE_RETRIES`] unless
-/// [`HOST_GATE_RETRIES_ENV`] holds a positive integer.
-pub fn host_gate_retries() -> usize {
-    std::env::var(HOST_GATE_RETRIES_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|n| *n > 0)
-        .unwrap_or(HOST_GATE_RETRIES)
+/// Host rows as the `BENCH_host.json` document.
+pub fn host_doc(rows: Vec<Row>) -> Doc {
+    Doc::new("host", [("host", rows)])
 }
 
 /// The best-of-N gate loop behind [`run_host`], with the collector
@@ -352,17 +191,16 @@ pub fn host_gate_retries() -> usize {
 /// clean attempt wins, and only `attempts` straight losses declare a
 /// regression (the last attempt's list is returned).
 pub fn run_host_with(
-    mut collect: impl FnMut() -> Vec<HostMetric>,
-    baseline: &[HostMetric],
-    tolerance: f64,
+    mut collect: impl FnMut() -> Vec<Row>,
+    baseline: &Doc,
     attempts: usize,
 ) -> Result<String, Vec<String>> {
     let mut regressions = Vec::new();
     for _ in 0..attempts.max(1) {
-        let current = collect();
-        regressions = compare_host(&current, baseline, tolerance);
+        let current = host_doc(collect());
+        regressions = compare(&current, baseline);
         if regressions.is_empty() {
-            return Ok(to_host_json(&current));
+            return Ok(render(&current));
         }
     }
     Err(regressions)
@@ -371,80 +209,49 @@ pub fn run_host_with(
 /// Run the full host gate against [`COMMITTED_HOST_BASELINE`]: collect,
 /// compare, and return the rendered `BENCH_host.json` contents on
 /// success or the regression list on failure. Because wall time is
-/// noisy, up to [`host_gate_retries`] full collections are measured and
-/// the first clean one passes; [`host_gate_tolerance`] honours the
-/// [`HOST_TOLERANCE_ENV`] override.
+/// noisy, up to [`HOST_GATE_RETRIES`] full collections are measured and
+/// the first clean one passes.
 pub fn run_host() -> Result<String, Vec<String>> {
-    let baseline = parse_host(COMMITTED_HOST_BASELINE)
+    let baseline = parse(COMMITTED_HOST_BASELINE)
         .map_err(|e| vec![format!("committed host baseline unreadable: {e}")])?;
-    run_host_with(
-        collect_host,
-        &baseline,
-        host_gate_tolerance(),
-        host_gate_retries(),
-    )
+    run_host_with(collect_host, &baseline, HOST_GATE_RETRIES)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn hm(key: &str, scalar_ns: u64, sliced_ns: u64) -> HostMetric {
-        HostMetric {
-            key: key.into(),
-            instructions: 10_000,
-            sim_cycles: 97_836,
-            scalar_ns,
-            sliced_ns,
-            threaded_ns: sliced_ns / 2 + 1,
-        }
+    fn hm(key: &str, scalar_ns: u64, sliced_ns: u64) -> Row {
+        Row::new(
+            key,
+            [
+                ("scalar_ns", Int(scalar_ns)),
+                ("sliced_ns", Int(sliced_ns)),
+                ("sliced_speedup", ratio(scalar_ns, sliced_ns)),
+            ],
+        )
     }
 
-    #[test]
-    fn host_json_round_trips() {
-        let ms = vec![
-            hm("host/InceptionV3-1/147x147x64", 4_000_000, 1_000_000),
-            hm("host/VGG16-1/224x224x64", 9_000_000, 3_000_000),
-        ];
-        let doc = to_host_json(&ms);
-        assert_eq!(parse_host(&doc).unwrap(), ms);
-        assert!(doc.contains("\"sliced_speedup\": 4.0000"));
-        assert!(doc.contains("\"scalar_instr_per_sec\""));
-    }
-
-    #[test]
-    fn absent_host_section_parses_as_empty() {
-        // A pooling-format document (or any JSON without a "host"
-        // section) must parse cleanly as the empty list, and the
-        // comparison must pass every current row as a fresh baseline.
-        let legacy = "{\n  \"benchmark\": \"pooling\",\n  \"metrics\": []\n}\n";
-        let base = parse_host(legacy).unwrap();
-        assert!(base.is_empty());
-        let ms = vec![hm("host/a", 100, 25)];
-        assert!(compare_host(&ms, &base, HOST_TOLERANCE).is_empty());
+    fn cmp(current: Vec<Row>, base: &[Row]) -> Vec<String> {
+        compare(&host_doc(current), &host_doc(base.to_vec()))
     }
 
     #[test]
     fn compare_host_gates_speedup_ratio_not_nanoseconds() {
-        let base = vec![hm("host/a", 4_000_000, 1_000_000)]; // 4.0x
-                                                             // Twice as slow in absolute terms but the same ratio: a slower
-                                                             // machine is not a regression.
-        let slower_machine = vec![hm("host/a", 8_000_000, 2_000_000)];
-        assert!(compare_host(&slower_machine, &base, HOST_TOLERANCE).is_empty());
+        let base = [hm("host/a", 4_000_000, 1_000_000)]; // 4.0x
+                                                         // Twice as slow in absolute terms but the same ratio: a slower
+                                                         // machine is not a regression.
+        assert!(cmp(vec![hm("host/a", 8_000_000, 2_000_000)], &base).is_empty());
         // Ratio within tolerance passes (3.6x vs 4.0x at 15%).
-        let noisy = vec![hm("host/a", 3_600_000, 1_000_000)];
-        assert!(compare_host(&noisy, &base, HOST_TOLERANCE).is_empty());
+        assert!(cmp(vec![hm("host/a", 3_600_000, 1_000_000)], &base).is_empty());
         // Ratio collapse fails both the per-row and geomean bounds —
         // e.g. the sliced fast path was reverted.
-        let reverted = vec![hm("host/a", 4_000_000, 3_800_000)];
-        let regs = compare_host(&reverted, &base, HOST_TOLERANCE);
+        let regs = cmp(vec![hm("host/a", 4_000_000, 3_800_000)], &base);
         assert_eq!(regs.len(), 2);
-        assert!(regs.iter().any(|r| r.contains("host/a (sliced speedup)")));
+        assert!(regs.iter().any(|r| r.contains("host/a (sliced_speedup)")));
         assert!(regs.iter().any(|r| r.contains("geomean")));
         // Disappeared row fails.
-        assert!(compare_host(&[], &base, HOST_TOLERANCE)
-            .iter()
-            .any(|r| r.contains("disappeared")));
+        assert!(cmp(vec![], &base).iter().any(|r| r.contains("disappeared")));
     }
 
     #[test]
@@ -454,7 +261,7 @@ mod tests {
         // bound, and the geomean barely moves — the gate passes. The
         // deterministic cycle gate would flag this; the host gate must
         // not, or CI flakes.
-        let base = vec![
+        let base = [
             hm("host/a", 2_000_000, 1_000_000),
             hm("host/b", 2_000_000, 1_000_000),
             hm("host/c", 2_000_000, 1_000_000),
@@ -464,22 +271,18 @@ mod tests {
             hm("host/b", 2_000_000, 1_000_000),
             hm("host/c", 2_000_000, 1_000_000),
         ];
-        assert!(compare_host(&jitter, &base, HOST_TOLERANCE).is_empty());
+        assert!(cmp(jitter, &base).is_empty());
         // But the same drop on every row is an executor regression and
         // must fail via the geomean bound.
-        let real = vec![
-            hm("host/a", 2_000_000, 1_250_000),
-            hm("host/b", 2_000_000, 1_250_000),
-            hm("host/c", 2_000_000, 1_250_000),
-        ];
-        let regs = compare_host(&real, &base, HOST_TOLERANCE);
+        let real = ["host/a", "host/b", "host/c"].map(|k| hm(k, 2_000_000, 1_250_000));
+        let regs = cmp(real.to_vec(), &base);
         assert_eq!(regs.len(), 1);
         assert!(regs[0].contains("geomean"));
     }
 
     #[test]
     fn run_host_with_takes_the_best_of_n_collections() {
-        let base = vec![hm("host/a", 4_000_000, 1_000_000)]; // 4.0x
+        let base = host_doc(vec![hm("host/a", 4_000_000, 1_000_000)]); // 4.0x
         let noisy = vec![hm("host/a", 4_000_000, 3_800_000)]; // 1.05x: loses
         let quiet = vec![hm("host/a", 4_000_000, 1_050_000)]; // 3.8x: passes
 
@@ -497,12 +300,14 @@ mod tests {
                 }
             },
             &base,
-            HOST_TOLERANCE,
             3,
         )
         .expect("third collection clears the gate");
         assert_eq!(calls, 3);
-        assert_eq!(parse_host(&doc).unwrap(), quiet);
+        assert_eq!(
+            parse(&doc).unwrap().rows("host")[0].int("sliced_ns"),
+            1_050_000
+        );
 
         // A clean first attempt never re-collects.
         let mut calls = 0;
@@ -512,7 +317,6 @@ mod tests {
                 quiet.clone()
             },
             &base,
-            HOST_TOLERANCE,
             3,
         )
         .expect("first collection clears the gate");
@@ -527,7 +331,6 @@ mod tests {
                 noisy.clone()
             },
             &base,
-            HOST_TOLERANCE,
             3,
         )
         .expect_err("persistent collapse is a regression");
@@ -536,37 +339,25 @@ mod tests {
     }
 
     #[test]
-    fn host_gate_env_overrides_parse_defensively() {
-        // NB: process-global env; this test owns these two variables.
-        std::env::set_var(HOST_TOLERANCE_ENV, "0.5");
-        std::env::set_var(HOST_GATE_RETRIES_ENV, "7");
-        assert_eq!(host_gate_tolerance(), 0.5);
-        assert_eq!(host_gate_retries(), 7);
-        // Garbage and non-positive values fall back to the defaults.
-        std::env::set_var(HOST_TOLERANCE_ENV, "not-a-float");
-        std::env::set_var(HOST_GATE_RETRIES_ENV, "0");
-        assert_eq!(host_gate_tolerance(), HOST_TOLERANCE);
-        assert_eq!(host_gate_retries(), HOST_GATE_RETRIES);
-        std::env::remove_var(HOST_TOLERANCE_ENV);
-        std::env::remove_var(HOST_GATE_RETRIES_ENV);
-        assert_eq!(host_gate_tolerance(), HOST_TOLERANCE);
-        assert_eq!(host_gate_retries(), HOST_GATE_RETRIES);
-    }
-
-    #[test]
     fn committed_host_baseline_parses_and_clears_the_floor() {
-        let base = parse_host(COMMITTED_HOST_BASELINE).expect("host baseline parses");
+        let doc = parse(COMMITTED_HOST_BASELINE).expect("host baseline parses");
+        let base = doc.rows("host");
         assert_eq!(
             base.len(),
             table1_workloads().len(),
             "host baseline must track every Table I workload"
         );
         assert!(
-            base.iter().any(|m| m.sliced_speedup() >= SLICED_FLOOR),
+            base.iter()
+                .any(|m| m.ratio_of("scalar_ns", "sliced_ns") >= SLICED_FLOOR),
             "committed host baseline must record the Sliced floor win"
         );
-        for m in &base {
-            assert!(m.instructions > 0 && m.sim_cycles > 0, "{}", m.key);
+        for m in base {
+            assert!(
+                m.int("instructions") > 0 && m.int("sim_cycles") > 0,
+                "{}",
+                m.key
+            );
         }
     }
 }

@@ -5,8 +5,10 @@
 //! but the build environment is offline, so no serde. This is a small
 //! recursive-descent parser over the full JSON grammar, good enough for
 //! machine-generated documents (no lenient extensions, no comments).
+//! Object members keep their document order and unsigned integer
+//! literals stay exact, so a gate document parses back into the rows
+//! that rendered it.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parsed JSON value.
@@ -16,22 +18,25 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number.
+    /// An unsigned integer literal (no sign, fraction or exponent),
+    /// kept exact.
+    Int(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string (escapes decoded).
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object. Key order is not preserved; duplicate keys keep the
-    /// last occurrence.
-    Obj(BTreeMap<String, Value>),
+    /// An object, members in document order. Lookups of a duplicate key
+    /// see the last occurrence.
+    Obj(Vec<(String, Value)>),
 }
 
 impl Value {
     /// Object member lookup (`None` for non-objects or missing keys).
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Obj(m) => m.get(key),
+            Value::Obj(m) => m.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -55,6 +60,7 @@ impl Value {
     /// The numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
@@ -63,6 +69,7 @@ impl Value {
     /// The numeric value as u64, if this is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Value::Int(n) => Some(*n),
             Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
                 Some(*n as u64)
             }
@@ -160,7 +167,7 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Value, ParseError> {
         self.expect(b'{')?;
-        let mut m = BTreeMap::new();
+        let mut m = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -173,7 +180,7 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let v = self.value()?;
-            m.insert(k, v);
+            m.push((k, v));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -289,6 +296,9 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::Int(n));
+        }
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("bad number"))
@@ -314,7 +324,7 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_eq!(a[0].as_u64(), Some(1));
         assert_eq!(a[2].get("b").unwrap().as_str(), Some("c"));
-        assert_eq!(v.get("d"), Some(&Value::Obj(BTreeMap::new())));
+        assert_eq!(v.get("d"), Some(&Value::Obj(Vec::new())));
     }
 
     #[test]
@@ -332,5 +342,21 @@ mod tests {
         assert_eq!(parse("3.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
+        assert_eq!(parse("4.0").unwrap().as_u64(), Some(4));
+        // Integer literals past 2^53 stay exact.
+        assert_eq!(
+            parse("9007199254740993").unwrap(),
+            Value::Int(9_007_199_254_740_993)
+        );
+    }
+
+    #[test]
+    fn objects_keep_document_order() {
+        let v = parse(r#"{"z":1,"a":2.5,"z":3}"#).unwrap();
+        let Value::Obj(m) = &v else { panic!("object") };
+        let keys: Vec<&str> = m.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["z", "a", "z"]);
+        assert_eq!(v.get("z"), Some(&Value::Int(3)));
+        assert_eq!(v.get("a"), Some(&Value::Num(2.5)));
     }
 }

@@ -1,8 +1,10 @@
 //! The enforcing host-throughput gate: replays every Table I workload's
 //! Im2col forward under all three execution backends, writes
-//! `BENCH_host.json` at the workspace root, and fails if the sliced
-//! speedup ratio on any tracked row fell more than [`host::HOST_TOLERANCE`]
-//! below the committed baseline (`crates/bench/baselines/host.json`).
+//! `BENCH_host.json` at the workspace root, and fails if the geometric
+//! mean of the sliced speedup ratios fell more than
+//! [`host::HOST_TOLERANCE`] below the committed baseline
+//! (`crates/bench/baselines/host.json`), or one row's more than twice
+//! that — the `host` bounds of `gate::checks()`.
 //!
 //! Bit-identity across backends is asserted *inside* `collect_host` on
 //! every gated workload — this test re-checks the emitted document's
@@ -12,7 +14,7 @@
 //! `cargo run --release -p dv-bench --bin repro -- gate` and commit the
 //! refreshed `host.json`.
 
-use dv_bench::host;
+use dv_bench::{gate, host};
 use std::path::Path;
 
 #[test]
@@ -23,7 +25,8 @@ fn host_gate_no_throughput_regressions_vs_committed_baseline() {
             let path = root.join("BENCH_host.json");
             std::fs::write(&path, &doc).expect("write BENCH_host.json");
 
-            let metrics = host::parse_host(&doc).expect("emitted host JSON parses");
+            let parsed = gate::parse(&doc).expect("emitted host JSON parses");
+            let metrics = parsed.rows("host");
             assert_eq!(
                 metrics.len(),
                 dv_core::table1_workloads().len(),
@@ -31,26 +34,28 @@ fn host_gate_no_throughput_regressions_vs_committed_baseline() {
             );
             // The acceptance floor travels in the artifact, not just in
             // the in-run assert: at least one Table I row at >= 2x.
+            // Ratios come from the exact nanosecond fields.
             assert!(
                 metrics
                     .iter()
-                    .any(|m| m.sliced_speedup() >= host::SLICED_FLOOR),
+                    .any(|m| m.ratio_of("scalar_ns", "sliced_ns") >= host::SLICED_FLOOR),
                 "emitted BENCH_host.json records no {}x sliced win",
                 host::SLICED_FLOOR
             );
-            for m in &metrics {
+            for m in metrics {
                 assert!(
-                    m.instructions > 0 && m.sim_cycles > 0,
+                    m.int("instructions") > 0 && m.int("sim_cycles") > 0,
                     "{}: degenerate denominators",
                     m.key
                 );
                 assert!(
-                    m.scalar_ns > 0 && m.sliced_ns > 0 && m.threaded_ns > 0,
+                    m.int("scalar_ns") > 0 && m.int("sliced_ns") > 0 && m.int("threaded_ns") > 0,
                     "{}: zero wall time measured",
                     m.key
                 );
                 assert!(
-                    m.instr_per_sec(m.sliced_ns) > 0.0 && m.sim_cycles_per_sec(m.sliced_ns) > 0.0,
+                    m.ratio_of("instructions", "sliced_ns") > 0.0
+                        && m.ratio_of("sim_cycles", "sliced_ns") > 0.0,
                     "{}: degenerate throughput",
                     m.key
                 );

@@ -64,36 +64,51 @@ fn perf_gate_no_regressions_vs_committed_baseline() {
             std::fs::write(&path, &doc).expect("write BENCH_pooling.json");
 
             // The emitted document must itself be well-formed and carry
-            // the per-shape speedups.
-            let metrics = gate::parse_metrics(&doc).expect("emitted JSON parses");
+            // the per-shape speedups. Ratios are recomputed from the
+            // exact integer fields, not read back rounded.
+            let parsed = gate::parse(&doc).expect("emitted JSON parses");
+            let metrics = parsed.rows("metrics");
             assert_eq!(
                 metrics.len(),
-                gate::parse_metrics(gate::COMMITTED_BASELINE)
+                gate::parse(gate::COMMITTED_BASELINE)
                     .expect("baseline parses")
+                    .rows("metrics")
                     .len(),
                 "metric set drifted from the committed baseline"
             );
-            for m in &metrics {
-                assert!(m.speedup() > 0.0, "{}: degenerate speedup", m.key);
+            for m in metrics {
+                let speedup = |s: &str, a: &str| m.ratio_of(s, a);
+                let (std_c, acc_c) = (m.int("standard_cycles"), m.int("accelerated_cycles"));
+                let (std_single, acc_single) = (
+                    m.int("standard_cycles_single"),
+                    m.int("accelerated_cycles_single"),
+                );
                 assert!(
-                    m.standard_cycles <= m.standard_cycles_single
-                        && m.accelerated_cycles <= m.accelerated_cycles_single,
+                    speedup("standard_cycles", "accelerated_cycles") > 0.0,
+                    "{}: degenerate speedup",
+                    m.key
+                );
+                assert!(
+                    std_c <= std_single && acc_c <= acc_single,
                     "{}: the dual-pipe makespan can never exceed the serial sum",
                     m.key
                 );
                 if m.key.starts_with("fig7") {
                     assert!(
-                        m.accelerated_cycles < m.accelerated_cycles_single,
+                        acc_c < acc_single,
                         "{}: dual-pipe must strictly accelerate the im2col pipeline \
                          ({} vs {})",
                         m.key,
-                        m.accelerated_cycles,
-                        m.accelerated_cycles_single
+                        acc_c,
+                        acc_single
                     );
                 }
                 if m.key.starts_with("fig8s1/") {
                     assert!(
-                        m.speedup() < 1.0 && m.speedup_single() < 1.0 && m.speedup_db() < 1.0,
+                        speedup("standard_cycles", "accelerated_cycles") < 1.0
+                            && speedup("standard_cycles_single", "accelerated_cycles_single")
+                                < 1.0
+                            && speedup("standard_cycles_db", "accelerated_cycles_db") < 1.0,
                         "{}: direct pooling must still win at stride (1,1) \
                          in every issue model",
                         m.key
@@ -101,22 +116,24 @@ fn perf_gate_no_regressions_vs_committed_baseline() {
                 }
                 // Double-buffering may never exceed the 2x band-footprint
                 // budget the halved capacity query promises.
+                let (ub_peak, l1_peak) = (m.int("ub_peak"), m.int("l1_peak"));
+                let (ub_peak_db, l1_peak_db) = (m.int("ub_peak_db"), m.int("l1_peak_db"));
                 assert!(
-                    m.ub_peak_db <= 2 * m.ub_peak && m.l1_peak_db <= 2 * m.l1_peak.max(1),
+                    ub_peak_db <= 2 * ub_peak && l1_peak_db <= 2 * l1_peak.max(1),
                     "{}: double-buffered peaks ({}, {}) exceed the 2x budget of ({}, {})",
                     m.key,
-                    m.ub_peak_db,
-                    m.l1_peak_db,
-                    m.ub_peak,
-                    m.l1_peak
+                    ub_peak_db,
+                    l1_peak_db,
+                    ub_peak,
+                    l1_peak
                 );
                 // Every Fig. 8 gate workload sits below its tiling
                 // threshold — a single band, so double-buffering has
                 // nothing to prefetch and must leave the schedule alone.
                 if m.key.starts_with("fig8") {
                     assert_eq!(
-                        (m.standard_cycles_db, m.accelerated_cycles_db),
-                        (m.standard_cycles, m.accelerated_cycles),
+                        (m.int("standard_cycles_db"), m.int("accelerated_cycles_db")),
+                        (std_c, acc_c),
                         "{}: single-band workloads must be unaffected by double-buffering",
                         m.key
                     );
@@ -131,16 +148,18 @@ fn perf_gate_no_regressions_vs_committed_baseline() {
                     .find(|m| m.key == key)
                     .unwrap_or_else(|| panic!("{key}: PR 1 metric disappeared"));
                 assert_eq!(
-                    (m.standard_cycles_single, m.accelerated_cycles_single),
+                    (
+                        m.int("standard_cycles_single"),
+                        m.int("accelerated_cycles_single")
+                    ),
                     (std_cycles, acc_cycles),
                     "{key}: single-issue columns must reproduce PR 1 cycle-for-cycle"
                 );
             }
 
-            let parsed = dv_bench::json::parse(&doc).unwrap();
+            let json = dv_bench::json::parse(&doc).unwrap();
             assert!(
-                parsed
-                    .get("metrics")
+                json.get("metrics")
                     .and_then(|a| a.as_arr())
                     .and_then(|a| a.first())
                     .and_then(|m| m.get("vs_baseline_standard"))
@@ -154,15 +173,15 @@ fn perf_gate_no_regressions_vs_committed_baseline() {
             // bit-identical / monotone / fair-share-bound asserts run
             // inside `collect_scaling` itself; the tolerance comparison
             // against the committed baseline ran inside `gate::run`.)
-            let scaling = gate::parse_scaling(&doc).expect("scaling section parses");
+            let scaling = parsed.rows("scaling");
             assert_eq!(
                 scaling.len(),
                 3 * gate::SCALING_CORES.len(),
                 "scaling section must cover all Fig. 7 shapes x core counts"
             );
-            for s in &scaling {
+            for s in scaling {
                 assert!(
-                    s.cycles_contended >= s.cycles,
+                    s.int("cycles_contended") >= s.int("cycles"),
                     "{}: the contention stage can only add cycles",
                     s.key
                 );
@@ -174,26 +193,31 @@ fn perf_gate_no_regressions_vs_committed_baseline() {
             // sub-linear cycles, and zero declines are asserted inside
             // `collect_backward_scaling` itself; here we re-check the
             // emitted rows' structural contracts.)
-            let backward = gate::parse_backward_scaling(&doc).expect("backward section parses");
+            let backward = parsed.rows("scaling-backward");
             assert_eq!(
                 backward.len(),
                 3 * gate::SCALING_CORES.len(),
                 "scaling-backward section must cover all Fig. 7 shapes x core counts"
             );
             assert!(
-                backward.iter().any(|b| b.sharded != 0),
+                backward.iter().any(|b| b.int("sharded") != 0),
                 "at least one Fig. 7 backward row must engage sub-plane shards"
             );
-            for b in &backward {
+            for b in backward {
                 assert!(
-                    b.cycles_l2 >= b.cycles,
+                    b.int("cycles_l2") >= b.int("cycles"),
                     "{}: the L2 memory stage can only add cycles over independent",
                     b.key
                 );
-                assert_eq!(b.declines, 0, "{}: no typed declines on gate shapes", b.key);
-                if b.sharded != 0 {
+                assert_eq!(
+                    b.int("declines"),
+                    0,
+                    "{}: no typed declines on gate shapes",
+                    b.key
+                );
+                if b.int("sharded") != 0 {
                     assert!(
-                        b.l2_hits > 0,
+                        b.int("l2_hits") > 0,
                         "{}: same-plane row-band shards must share L2 lines",
                         b.key
                     );
@@ -206,29 +230,34 @@ fn perf_gate_no_regressions_vs_committed_baseline() {
             // tuned never slower than a forced alternative — is asserted
             // inside `collect_tuner` itself; here we re-check the
             // emitted rows and pin the Fig. 8 crossover as *choices*.)
-            let tuner = gate::parse_tuner(&doc).expect("tuner section parses");
+            let tuner = parsed.rows("tuner");
             assert!(!tuner.is_empty(), "tuner section must be emitted");
-            for t in &tuner {
+            for t in tuner {
                 if t.key.starts_with("tuner/fig8s1/") {
                     assert_eq!(
-                        t.chosen, "direct",
+                        t.text("chosen"),
+                        "direct",
                         "{}: stride (1,1) must auto-select the direct reduction",
                         t.key
                     );
                 }
                 if t.key.starts_with("tuner/fig8s2/") {
                     assert_eq!(
-                        t.chosen, "im2col",
+                        t.text("chosen"),
+                        "im2col",
                         "{}: stride (2,2) must auto-select im2col",
                         t.key
                     );
                 }
-                for (what, alt) in [("direct", t.direct_cycles), ("im2col", t.im2col_cycles)] {
+                for (what, alt) in [
+                    ("direct", t.int("direct_cycles")),
+                    ("im2col", t.int("im2col_cycles")),
+                ] {
                     assert!(
-                        alt == 0 || t.tuned_cycles <= alt,
+                        alt == 0 || t.int("tuned_cycles") <= alt,
                         "{}: tuned cycles {} exceed the forced {} run's {}",
                         t.key,
-                        t.tuned_cycles,
+                        t.int("tuned_cycles"),
                         what,
                         alt
                     );
@@ -242,39 +271,39 @@ fn perf_gate_no_regressions_vs_committed_baseline() {
             // perf contracts: implicit im2col never costs cycles, always
             // shrinks the L1 peak, and the fused handoff always saves GM
             // round-trip traffic.)
-            let model = gate::parse_model(&doc).expect("model section parses");
+            let model = parsed.rows("model");
             for name in ["model/vgg16-seg", "model/inception-seg"] {
                 let m = model
                     .iter()
                     .find(|m| m.key == name)
                     .unwrap_or_else(|| panic!("model section missing the {name} row"));
                 assert!(
-                    m.conv_implicit_cycles <= m.conv_materialised_cycles,
+                    m.int("conv_implicit_cycles") <= m.int("conv_materialised_cycles"),
                     "{name}: implicit im2col must never cost cycles \
                      ({} vs {})",
-                    m.conv_implicit_cycles,
-                    m.conv_materialised_cycles
+                    m.int("conv_implicit_cycles"),
+                    m.int("conv_materialised_cycles")
                 );
                 assert!(
-                    m.l1_peak_implicit < m.l1_peak_materialised,
+                    m.int("l1_peak_implicit") < m.int("l1_peak_materialised"),
                     "{name}: implicit im2col must strictly shrink the L1 peak \
                      ({} vs {})",
-                    m.l1_peak_implicit,
-                    m.l1_peak_materialised
+                    m.int("l1_peak_implicit"),
+                    m.int("l1_peak_materialised")
                 );
                 assert!(
-                    m.gm_bytes_fused < m.gm_bytes_layered,
+                    m.int("gm_bytes_fused") < m.int("gm_bytes_layered"),
                     "{name}: the fused handoff must strictly cut GM traffic \
                      ({} vs {})",
-                    m.gm_bytes_fused,
-                    m.gm_bytes_layered
+                    m.int("gm_bytes_fused"),
+                    m.int("gm_bytes_layered")
                 );
                 assert!(
-                    m.fused_cycles <= m.layered_cycles,
+                    m.int("fused_cycles") <= m.int("layered_cycles"),
                     "{name}: the fused segment may never run slower than layered \
                      ({} vs {})",
-                    m.fused_cycles,
-                    m.layered_cycles
+                    m.int("fused_cycles"),
+                    m.int("layered_cycles")
                 );
             }
         }
