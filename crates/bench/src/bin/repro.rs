@@ -6,7 +6,10 @@
 //! ```
 //!
 //! Each experiment prints a paper-style table and writes
-//! `results/<name>.csv`.
+//! `results/<name>.csv`. `repro -- gate` refreshes the perf-gate
+//! baselines; `repro -- lock` rewrites the behaviour lock
+//! (`crates/bench/baselines/lock.json`) — only for an intentional
+//! behaviour change, never to make a failing test pass.
 
 use dv_bench::experiments;
 use dv_bench::Table;
@@ -112,19 +115,35 @@ fn run_gate() {
     publish("BENCH_host.json", render(&now), "host.json", &now, old);
 }
 
+/// `repro -- lock`: rerun every behaviour-lock case and rewrite the
+/// committed lock.
+fn run_lock() {
+    let root = results_dir()
+        .parent()
+        .map(PathBuf::from)
+        .unwrap_or_default();
+    let path = root.join("crates/bench/baselines/lock.json");
+    std::fs::write(&path, dv_bench::lock::render_lock()).expect("write lock.json");
+    println!("rewrote {}", path.display());
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let commands = ["gate", "lock"];
     if args.iter().any(|a| a == "gate") {
         run_gate();
-        if args.len() == 1 {
-            return;
-        }
+    }
+    if args.iter().any(|a| a == "lock") {
+        run_lock();
+    }
+    if !args.is_empty() && args.iter().all(|a| commands.contains(&a.as_str())) {
+        return;
     }
     let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         ALL.to_vec()
     } else {
         args.iter()
-            .filter(|s| *s != "gate")
+            .filter(|s| !commands.contains(&s.as_str()))
             .map(|s| s.as_str())
             .collect()
     };
@@ -149,7 +168,7 @@ fn main() {
     }
     if !unknown.is_empty() {
         eprintln!(
-            "unknown experiment(s): {} — available: {}, gate",
+            "unknown experiment(s): {} — available: {}, gate, lock",
             unknown.join(", "),
             ALL.join(", ")
         );

@@ -207,12 +207,17 @@ impl Doc {
 /// benchmark's constants, then one line per row.
 pub fn render(doc: &Doc) -> String {
     let mut out = format!("{{\n  \"benchmark\": \"{}\",\n", doc.benchmark);
-    if doc.benchmark == "host" {
-        let _ = writeln!(out, "  \"tolerance\": {HOST_TOLERANCE},");
-        let _ = writeln!(out, "  \"samples\": {HOST_SAMPLES},");
-    } else {
-        let _ = writeln!(out, "  \"tolerance\": {TOLERANCE},");
-        out.push_str("  \"issue_models\": [\"dual_pipe\", \"single_issue\"],\n");
+    match doc.benchmark.as_str() {
+        "host" => {
+            let _ = writeln!(out, "  \"tolerance\": {HOST_TOLERANCE},");
+            let _ = writeln!(out, "  \"samples\": {HOST_SAMPLES},");
+        }
+        // The behaviour lock ([`crate::lock`]) tolerates no drift.
+        "lock" => out.push_str("  \"tolerance\": 0,\n"),
+        _ => {
+            let _ = writeln!(out, "  \"tolerance\": {TOLERANCE},");
+            out.push_str("  \"issue_models\": [\"dual_pipe\", \"single_issue\"],\n");
+        }
     }
     for (i, (name, rows)) in doc.sections.iter().enumerate() {
         let _ = writeln!(out, "  \"{name}\": [");

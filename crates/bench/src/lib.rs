@@ -23,6 +23,7 @@ pub mod gate;
 pub mod host;
 pub mod inputs;
 pub mod json;
+pub mod lock;
 pub mod plot;
 pub mod report;
 

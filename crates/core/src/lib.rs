@@ -37,7 +37,7 @@ pub mod schedule;
 pub mod workloads;
 
 pub use maxpool::{build_forward_batched, tiling_threshold};
-pub use problem::{ForwardImpl, LowerError, MergeImpl, PoolProblem};
+pub use problem::{ForwardImpl, LowerError, MergeImpl, OpKind, PoolProblem};
 pub use runner::{PoolRun, PoolingEngine, RunError};
 pub use schedule::{
     chip_cycle_floor, choose_backward_algorithm, choose_backward_partition,

@@ -57,6 +57,24 @@ impl MergeImpl {
     }
 }
 
+/// A pooling operator with the implementation the caller asked for —
+/// what [`crate::PoolingEngine::plan`] plans. Under
+/// [`crate::PoolingEngine::auto_tune`] the implementation is ignored and
+/// the tuner's winner runs instead.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum OpKind {
+    /// MaxPool forward (Fig. 7a / Fig. 8).
+    MaxForward(ForwardImpl),
+    /// MaxPool forward that also stores the argmax mask (Fig. 7b).
+    MaxForwardArgmax(ForwardImpl),
+    /// AvgPool forward (Section V-C).
+    AvgForward(ForwardImpl),
+    /// MaxPool backward through the argmax mask (Fig. 7c).
+    MaxBackward(MergeImpl),
+    /// AvgPool backward (uniform mask).
+    AvgBackward(MergeImpl),
+}
+
 /// Lowering errors.
 #[derive(Clone, Debug, PartialEq)]
 pub enum LowerError {
