@@ -53,8 +53,8 @@ use crate::host::{HOST_SAMPLES, HOST_TOLERANCE};
 use crate::inputs::{feature_map, gradients, plane};
 use crate::json;
 use dv_core::{
-    choose_backward_algorithm, choose_forward_algorithm, fig7_workloads, table1_workloads,
-    tiling_threshold, ForwardImpl, MergeImpl, PoolProblem, PoolingEngine,
+    fig7_workloads, table1_workloads, tiling_threshold, ForwardImpl, MergeImpl, OpKind, Plan,
+    PoolProblem, PoolingEngine,
 };
 use dv_isa::BufferId;
 use dv_sim::{Chip, ChipRun, CostModel, MemoryModel};
@@ -669,7 +669,7 @@ pub fn collect_scaling() -> Vec<Row> {
 ///   overlapping gradient/mask rows from the L2 instead of the HBM, so
 ///   the sharded plan moves strictly fewer HBM bytes than per-plane.
 pub fn collect_backward_scaling() -> Vec<Row> {
-    use dv_core::{choose_backward_partition, PartitionAxis, PoolProblem};
+    use dv_core::PartitionAxis;
     let mut out = Vec::new();
     let cost = CostModel::ascend910_like();
     for w in fig7_workloads() {
@@ -730,31 +730,18 @@ pub fn collect_backward_scaling() -> Vec<Row> {
                 );
             }
             let prob = PoolProblem::new(1, input.c1, w.h, w.w, w.params).expect("backward problem");
-            let sharded_l2 = choose_backward_partition(
-                &prob,
-                MergeImpl::Col2Im,
-                true,
-                cores,
-                &eng_l2.schedule(),
-                eng_l2.chip.caps,
-                eng_l2.shared_bandwidth(),
-            ) == PartitionAxis::PerRowBand;
-            if sharded_l2 {
+            let sharded = |e: &PoolingEngine| {
+                let plan = e.plan(OpKind::MaxBackward(MergeImpl::Col2Im), &prob);
+                plan.expect("backward plan").axis == PartitionAxis::PerRowBand
+            };
+            if sharded(&eng_l2) {
                 assert!(
                     run_l2.total.l2_hits > 0,
                     "{key}: same-plane shards must serve overlapping input rows \
                      from the L2 (zero hits booked)"
                 );
             }
-            let sharded = choose_backward_partition(
-                &prob,
-                MergeImpl::Col2Im,
-                true,
-                cores,
-                &eng.schedule(),
-                eng.chip.caps,
-                eng.shared_bandwidth(),
-            ) == PartitionAxis::PerRowBand;
+            let sharded = sharded(&eng);
             out.push(Row::new(
                 key,
                 [
@@ -778,12 +765,16 @@ pub fn collect_backward_scaling() -> Vec<Row> {
 /// `im2col`, `fold`), its pre-run prediction, the tuned run's cycles, and
 /// each forced alternative's cycles (0 = that alternative cannot lower
 /// the workload).
-fn tuner_row(key: String, chosen: &str, predicted: u64, tuned: u64, forced: [u64; 2]) -> Row {
+fn tuner_row(key: String, plan: &Plan, tuned: u64, forced: [u64; 2]) -> Row {
+    let chosen = plan
+        .algorithm
+        .expect("a tuned plan dispatches an algorithm");
+    let predicted = plan.ranking.iter().find(|p| p.algorithm == chosen);
     Row::new(
         key,
         [
-            ("chosen", Text(chosen.to_string())),
-            ("predicted_cycles", Int(predicted)),
+            ("chosen", Text(chosen.label().to_string())),
+            ("predicted_cycles", Int(predicted.map_or(0, |p| p.cycles))),
             ("tuned_cycles", Int(tuned)),
             ("direct_cycles", Int(forced[0])),
             ("im2col_cycles", Int(forced[1])),
@@ -805,19 +796,10 @@ fn tuner_forward_row(
     params: PoolParams,
 ) -> Row {
     let prob = PoolProblem::new(1, c1, h, w, params).expect("tuner problem");
-    let choice = choose_forward_algorithm(
-        &prob,
-        false,
-        false,
-        eng.chip.cores,
-        &eng.schedule(),
-        eng.chip.caps,
-        None,
-    );
-    let winner = choice.winner().expect("tuner must rank a candidate");
-    let (o_t, run) = eng
-        .clone()
-        .with_auto_tuning(true)
+    let tuned = eng.clone().with_auto_tuning(true);
+    let op = OpKind::MaxForward(ForwardImpl::Standard);
+    let plan = tuned.plan(op, &prob).expect("tuned forward plan");
+    let (o_t, run) = tuned
         .maxpool_forward(input, params, ForwardImpl::Standard)
         .expect("tuned forward");
     assert_eq!(
@@ -848,13 +830,7 @@ fn tuner_forward_row(
             cycles[slot] = r.cycles;
         }
     }
-    tuner_row(
-        key,
-        winner.label(),
-        choice.predicted(winner).unwrap_or(0),
-        run.cycles,
-        cycles,
-    )
+    tuner_row(key, &plan, run.cycles, cycles)
 }
 
 /// Measure one backward tuner row with the same in-run certification as
@@ -869,18 +845,10 @@ fn tuner_backward_row(
     params: PoolParams,
 ) -> Row {
     let prob = PoolProblem::new(1, c1, h, w, params).expect("tuner problem");
-    let choice = choose_backward_algorithm(
-        &prob,
-        true,
-        eng.chip.cores,
-        &eng.schedule(),
-        eng.chip.caps,
-        None,
-    );
-    let winner = choice.winner().expect("tuner must rank a candidate");
-    let (dx_t, run) = eng
-        .clone()
-        .with_auto_tuning(true)
+    let tuned = eng.clone().with_auto_tuning(true);
+    let op = OpKind::MaxBackward(MergeImpl::VAdd);
+    let plan = tuned.plan(op, &prob).expect("tuned backward plan");
+    let (dx_t, run) = tuned
         .maxpool_backward(mask, grads, params, h, w, MergeImpl::VAdd)
         .expect("tuned backward");
     assert_eq!(
@@ -908,13 +876,7 @@ fn tuner_backward_row(
             cycles[slot] = r.cycles;
         }
     }
-    tuner_row(
-        key,
-        winner.label(),
-        choice.predicted(winner).unwrap_or(0),
-        run.cycles,
-        cycles,
-    )
+    tuner_row(key, &plan, run.cycles, cycles)
 }
 
 /// Replay the tracked workloads through the auto-tuned engine and record

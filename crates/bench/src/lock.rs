@@ -20,7 +20,7 @@
 //!
 //! `cargo run --release -p dv-bench --bin repro -- lock` rewrites
 //! `crates/bench/baselines/lock.json`; `crates/bench/tests/lock.rs`
-//! requires a fresh [`render`] of [`rows`] to equal it byte for byte.
+//! requires a fresh [`render_lock`] to equal it byte for byte.
 //! Regenerate it only for an intentional behaviour change, never to make
 //! a failing test pass.
 
@@ -134,7 +134,7 @@ fn ok<T>(key: &str, r: Result<T, RunError>) -> T {
 }
 
 /// FNV-1a-64 over `bytes`.
-pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
@@ -466,7 +466,7 @@ fn counter_fields(c: &HwCounters, out: &mut Vec<(String, Value)>) {
 }
 
 /// The lock row of one case.
-pub fn row(case: &LockCase) -> Row {
+fn row(case: &LockCase) -> Row {
     let (out, mask, run) = case.run();
     let mut fields = vec![
         ("out".to_string(), hash(out.data())),
@@ -491,17 +491,10 @@ pub fn row(case: &LockCase) -> Row {
     }
 }
 
-/// Run every case.
-pub fn rows() -> Vec<Row> {
-    cases().iter().map(row).collect()
-}
-
-/// The lock document as `repro -- lock` writes it.
-pub fn lock_doc() -> Doc {
-    Doc::new("lock", [("lock", rows())])
-}
-
-/// Render [`lock_doc`].
+/// The lock document as `repro -- lock` writes it: one row per case.
 pub fn render_lock() -> String {
-    render(&lock_doc())
+    render(&Doc::new(
+        "lock",
+        [("lock", cases().iter().map(row).collect())],
+    ))
 }

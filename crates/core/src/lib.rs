@@ -38,7 +38,7 @@ pub mod workloads;
 
 pub use maxpool::{build_forward_batched, tiling_threshold};
 pub use problem::{ForwardImpl, LowerError, MergeImpl, OpKind, PoolProblem};
-pub use runner::{PoolRun, PoolingEngine, RunError};
+pub use runner::{Decline, Plan, PoolRun, PoolingEngine, RunError};
 pub use schedule::{
     chip_cycle_floor, choose_backward_algorithm, choose_backward_partition,
     choose_forward_algorithm, choose_partition, choose_segment_fusion, program_cycle_floor,

@@ -23,7 +23,7 @@
 //! to the per-plane schedule, so results are bit-exact.
 //!
 //! Double buffering composes at the *chunk* level: the cols region gets
-//! ping-pong [`BandSlots`] and chunk `i + 1`'s SCU chains are issued
+//! ping-pong [`dv_akg::BandSlots`] and chunk `i + 1`'s SCU chains are issued
 //! before chunk `i`'s Vector reduction (the same software pipeline the
 //! per-plane lowerings run across row bands).
 //!

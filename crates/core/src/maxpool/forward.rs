@@ -105,38 +105,10 @@ pub fn build_forward_parallel(
     )
 }
 
-/// Build forward pooling that additionally stores the argmax mask (in the
-/// im2col patch layout) at `gm_mask` — the Fig. 7b computation. Only the
-/// `Standard` and `Im2col` implementations support the mask, and only
-/// with `Reduction::Max`.
-pub fn build_forward_with_argmax(
-    prob: &PoolProblem,
-    impl_: ForwardImpl,
-    gm_in: usize,
-    gm_out: usize,
-    gm_mask: usize,
-    caps: Capacities,
-) -> Result<Vec<Program>, LowerError> {
-    if !matches!(impl_, ForwardImpl::Standard | ForwardImpl::Im2col) {
-        return Err(LowerError::Unsupported(format!(
-            "argmax mask is lowered only for Standard and Im2col (got {impl_:?})"
-        )));
-    }
-    build_forward_inner(
-        prob,
-        impl_,
-        Reduction::Max,
-        gm_in,
-        gm_out,
-        Some(gm_mask),
-        caps,
-        1,
-        Schedule::default(),
-    )
-}
-
-/// Like [`build_forward_with_argmax`] with band-level parallel splitting
-/// and double-buffering control (see [`build_forward_parallel`]).
+/// Like [`build_forward_parallel`] with [`Reduction::Max`], additionally
+/// storing the argmax mask (in the im2col patch layout) at `gm_mask` —
+/// the Fig. 7b computation. Only the `Standard` and `Im2col`
+/// implementations support the mask.
 #[allow(clippy::too_many_arguments)]
 pub fn build_forward_with_argmax_parallel(
     prob: &PoolProblem,
@@ -148,11 +120,6 @@ pub fn build_forward_with_argmax_parallel(
     parallel: usize,
     sched: Schedule,
 ) -> Result<Vec<Program>, LowerError> {
-    if !matches!(impl_, ForwardImpl::Standard | ForwardImpl::Im2col) {
-        return Err(LowerError::Unsupported(format!(
-            "argmax mask is lowered only for Standard and Im2col (got {impl_:?})"
-        )));
-    }
     build_forward_inner(
         prob,
         impl_,
@@ -166,8 +133,12 @@ pub fn build_forward_with_argmax_parallel(
     )
 }
 
+/// The one forward lowering behind every per-plane and band-split
+/// builder: MaxPool, AvgPool ([`Reduction::Sum`]) and, with `gm_mask`,
+/// MaxPool with the argmax mask. Rejects the combinations no lowering
+/// computes bit-exactly before planning anything.
 #[allow(clippy::too_many_arguments)]
-fn build_forward_inner(
+pub(crate) fn build_forward_inner(
     prob: &PoolProblem,
     impl_: ForwardImpl,
     reduction: Reduction,
@@ -178,6 +149,19 @@ fn build_forward_inner(
     parallel: usize,
     sched: Schedule,
 ) -> Result<Vec<Program>, LowerError> {
+    if gm_mask.is_some() && !matches!(impl_, ForwardImpl::Standard | ForwardImpl::Im2col) {
+        return Err(LowerError::Unsupported(format!(
+            "argmax mask is lowered only for Standard and Im2col (got {impl_:?})"
+        )));
+    }
+    if impl_ == ForwardImpl::XYSplit && matches!(reduction, Reduction::Sum { .. }) {
+        // The split reduction re-associates the f16 sum and would not be
+        // bit-identical to the reference; the paper only uses the X-Y
+        // split for MaxPool.
+        return Err(LowerError::Unsupported(
+            "AvgPool X-Y split re-associates the f16 sum".into(),
+        ));
+    }
     let params = prob.params;
     // Padding support: the Im2Col instruction realises padding for free;
     // the other lowerings would need explicit border handling that the

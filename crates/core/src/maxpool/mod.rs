@@ -10,7 +10,8 @@ pub use backward::{
     BackwardSource,
 };
 pub use batched::build_forward_batched;
+pub(crate) use forward::build_forward_inner;
 pub use forward::{
-    build_forward, build_forward_parallel, build_forward_with_argmax,
-    build_forward_with_argmax_parallel, tiling_threshold, Reduction,
+    build_forward, build_forward_parallel, build_forward_with_argmax_parallel, tiling_threshold,
+    Reduction,
 };

@@ -1,31 +1,49 @@
 //! The high-level API: run pooling operators on a simulated chip.
 //!
-//! [`PoolingEngine`] owns a [`Chip`], lays out tensors in a global-memory
-//! image, lowers the requested implementation, runs it, and returns the
-//! output tensors together with the chip's hardware counters — the f16
-//! results are what the tests compare bit-exactly against the golden
-//! references, and the cycle counts are what the benchmark harness plots
-//! against the paper's figures.
+//! [`PoolingEngine`] runs every pooling operator in two steps.
+//! [`PoolingEngine::plan`] lays the tensors out in global memory
+//! (forward `in, out[, mask]`; max backward `mask, grad, dx`; avg
+//! backward `grad, dx`; shard staging last), makes every decision, and
+//! lowers the programs, taking the first rule that applies:
+//!
+//! 1. **auto-tune** ([`PoolingEngine::auto_tune`]): dispatch the
+//!    cheapest predicted algorithm that lowers;
+//! 2. **shard** ([`PoolingEngine::shard`]): the cost-model partition
+//!    axis for the Im2col forward, halo-merged row shards for a backward;
+//! 3. **batch fold** ([`PoolingEngine::batching`]): the Mode-0 forward
+//!    fold when it plans and saves `Im2Col` issues, per-`c1` backward
+//!    consolidation;
+//! 4. **band split** ([`PoolingEngine::split_bands`]): forward row bands
+//!    across idle cores;
+//! 5. **per-plane**: one program per `(n, c1)` plane.
+//!
+//! The [`Plan`] it returns records the outcome. A private `execute`
+//! writes the inputs into a fresh GM image, runs the programs, books the
+//! plan's declines and the tuner's certification into the counters, and
+//! reads the outputs back. The five pooling entry points only validate
+//! shapes, build the [`PoolProblem`], plan, and execute. The f16 results
+//! are what the tests compare bit-exactly against the golden references;
+//! the cycle counts are what the benchmark harness plots against the
+//! paper's figures.
 
-use crate::avgpool::{
-    build_avgpool_backward, build_avgpool_backward_batched, build_avgpool_forward_parallel,
-};
+use crate::avgpool::avg_scale;
 use crate::maxpool::batched::per_plane_im2col_issues;
 use crate::maxpool::{
     backward_shard_staging_bytes, build_backward, build_backward_batched, build_backward_sharded,
-    build_forward_batched, build_forward_parallel, build_forward_with_argmax_parallel,
-    BackwardSource, Reduction,
+    build_forward_batched, build_forward_inner, BackwardSource, Reduction,
 };
-use crate::problem::{ForwardImpl, LowerError, MergeImpl, PoolProblem};
+use crate::problem::{ForwardImpl, LowerError, MergeImpl, OpKind, PoolProblem};
 use crate::schedule::{
     chip_cycle_floor, choose_backward_algorithm, choose_backward_partition,
-    choose_forward_algorithm, choose_partition, Algorithm, PartitionAxis, Schedule,
+    choose_forward_algorithm, choose_partition, Algorithm, AlgorithmChoice, PartitionAxis,
+    Prediction, Schedule,
 };
 use core::fmt;
 use dv_akg::GmArena;
+use dv_fp16::F16;
 use dv_isa::Program;
 use dv_sim::{Chip, ChipRun, GmDeclaration, MemoryModel, SimError};
-use dv_tensor::{Nc1hwc0, PatchTensor, PoolParams, C0};
+use dv_tensor::{Nc1hwc0, PatchTensor, PoolParams, ShapeError, C0};
 
 /// Errors surfaced by engine runs.
 #[derive(Debug)]
@@ -86,27 +104,20 @@ pub struct PoolingEngine {
     /// run has `N > 1` and folding cannot hurt multi-core occupancy, the
     /// Im2col forward lowers all `N` planes of a `c1` slice through one
     /// Mode-0 `Im2Col` repeat-chain program, and the backward pass
-    /// consolidates its `N` per-plane streams into one program per `c1`.
-    /// The engine falls back to the per-plane schedule whenever the fold
-    /// does not fit the scratchpads or would issue more `Im2Col`s than
-    /// it saves. Results are bit-identical either way.
+    /// consolidates its planes into one program per `c1`. A fold that
+    /// cannot plan or saves no `Im2Col`s is a [`Decline`]; the per-plane
+    /// schedule runs instead. Results are bit-identical either way.
     pub batching: bool,
-    /// Shard forward workloads across the chip by cost model (off by
-    /// default): when set, each Im2col forward picks its partition axis —
-    /// per-`(n, c1)` plane, batch-folded per-`c1`, or per-row-band —
-    /// from [`choose_partition`]'s multi-core makespan estimate (which
-    /// folds in the chip's shared-bandwidth contention model when one is
-    /// configured), instead of the fixed `split_bands`/`batching`
-    /// switches. Backward passes ask [`choose_backward_partition`] the
-    /// same question: on a strict predicted win each plane splits into
-    /// balanced row shards whose overlapping contributions are declared
-    /// as typed halo spans and folded back by the chip in the reference
-    /// accumulation order ([`dv_sim::Chip::run_declared`]); when the
-    /// sharded lowering declines (capacity, padded geometry), the run
-    /// falls back to per-plane and books a
-    /// [`dv_sim::HwCounters::tuner_fallbacks`] rather than failing or
-    /// staying silent. Results are bit-identical on every axis; only the
-    /// program partitioning changes.
+    /// Partition by cost model (off by default): each Im2col forward
+    /// takes [`choose_partition`]'s multi-core makespan choice (contention
+    /// priced when the chip shares bandwidth) instead of the
+    /// `split_bands`/`batching` switches, and a backward splits each plane
+    /// into row shards on a strict predicted win of
+    /// [`choose_backward_partition`]. Overlapping shard contributions are
+    /// declared as halo spans and folded back in the reference order
+    /// ([`dv_sim::Chip::run_declared`]); a shard lowering that declines
+    /// runs per-plane as a booked [`Decline::Shard`]. Results are
+    /// bit-identical on every axis.
     pub shard: bool,
     /// Override for [`Schedule::rotate`]: whether lowerings may plan
     /// versioned (renamer-backed) band layouts. `None` (the default)
@@ -115,31 +126,129 @@ pub struct PoolingEngine {
     /// controlled comparisons use to run the *same* program under
     /// renaming and no-renaming cost models.
     pub rotation_planning: Option<bool>,
-    /// Auto-tune the algorithm per workload (off by default): when set,
-    /// the pooling entry points *ignore* their `impl_`/`merge` argument
-    /// and dispatch the winner of [`choose_forward_algorithm`] /
+    /// Auto-tune the algorithm per workload (off by default): the entry
+    /// points *ignore* their `impl_`/`merge` argument and dispatch the
+    /// first lowerable candidate of [`choose_forward_algorithm`] /
     /// [`choose_backward_algorithm`] — direct reduction, per-plane
-    /// Im2col, or the Mode-0 batch fold. The choice is never silently
-    /// trusted: a ranked candidate that fails to lower books a
-    /// [`dv_sim::HwCounters::tuner_fallbacks`], and after the run every
-    /// rejected alternative is certified against its
-    /// [`chip_cycle_floor`] — if the winner's measured cycles exceed an
-    /// alternative's floor, the win is uncertified and the engine books
-    /// a [`dv_sim::HwCounters::tuner_mispredicted`] (so
-    /// `tuner_mispredicted == 0` proves the tuned run is no slower than
-    /// any lowerable alternative). Results are bit-identical on every
-    /// algorithm; only cycles change.
+    /// Im2col, or the Mode-0 batch fold. Higher-ranked candidates that
+    /// fail to lower are booked [`Decline::Candidate`]s; after the run
+    /// every other lowerable candidate whose [`chip_cycle_floor`] sits
+    /// below the measured cycles books a
+    /// [`dv_sim::HwCounters::tuner_mispredicted`] (so 0 proves the tuned
+    /// run no slower than any alternative). Results are bit-identical on
+    /// every algorithm.
     pub auto_tune: bool,
 }
 
-/// A tuner dispatch: the chosen algorithm's programs plus everything the
-/// post-run certification needs.
-struct Tuned {
+/// A lowering [`PoolingEngine::plan`] preferred but did not take, with
+/// its typed cause.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Decline {
+    /// The batch fold would not issue fewer `Im2Col`s than per-plane
+    /// (`usize::MAX`: uncountable); the per-plane schedule ran.
+    FoldIssues {
+        /// `Im2Col` issues of the folded programs.
+        folded: usize,
+        /// `Im2Col` issues the per-plane schedule would spend.
+        per_plane: usize,
+    },
+    /// The batch fold failed to plan; the per-plane schedule ran.
+    FoldFailed(LowerError),
+    /// The sub-plane backward shard lowering declined; the per-plane
+    /// schedule ran.
+    Shard(LowerError),
+    /// A tuner candidate ranked above the dispatched one failed to lower.
+    Candidate(Algorithm, LowerError),
+}
+
+impl Decline {
+    /// Whether a run books this decline as a
+    /// [`dv_sim::HwCounters::tuner_fallbacks`]: shard and tuner declines
+    /// are; the batch fold's own feasibility checks are not.
+    fn booked(&self) -> bool {
+        matches!(self, Decline::Shard(_) | Decline::Candidate(..))
+    }
+}
+
+/// What [`PoolingEngine::plan`] decided for one operator on one problem,
+/// with the lowered programs ready to run. The public fields are the
+/// record; the programs, halo declarations, certification alternatives
+/// and GM layout stay private to the engine.
+#[derive(Debug)]
+pub struct Plan {
+    /// How the work is spread over the cores: [`PartitionAxis::PerC1`]
+    /// whenever the batch is folded (the forward Mode-0 fold or the
+    /// backward per-`c1` consolidation), [`PartitionAxis::PerRowBand`]
+    /// when planes split into row bands or halo-merged shards, and
+    /// [`PartitionAxis::PerPlane`] otherwise.
+    pub axis: PartitionAxis,
+    /// The algorithm the auto-tuner dispatched (`None` when auto-tuning
+    /// is off).
+    pub algorithm: Option<Algorithm>,
+    /// The tuner's feasible candidates with their predicted chip cycles,
+    /// cheapest first (empty when auto-tuning is off).
+    pub ranking: Vec<Prediction>,
+    /// Programs per `(n, c1)` plane: above 1 only when the axis is
+    /// [`PartitionAxis::PerRowBand`] and planes really split.
+    pub shards: usize,
+    /// Every preferred lowering the plan did not take, in decision order.
+    pub declines: Vec<Decline>,
+    op: OpKind,
+    prob: PoolProblem,
+    layout: Layout,
     programs: Vec<Program>,
-    /// Lowered programs of each rejected (but lowerable) alternative.
+    /// Halo-merge declarations of a sharded backward.
+    decls: Option<Vec<GmDeclaration>>,
+    /// Lowered programs of the tuner's rejected candidates, certified
+    /// against after the run.
     alternatives: Vec<Vec<Program>>,
-    /// Ranked candidates that failed to lower before one succeeded.
-    fallbacks: u64,
+}
+
+/// Where a plan's tensors sit in the GM image.
+#[derive(Debug)]
+struct Layout {
+    /// Image size in bytes, shard staging included.
+    size: usize,
+    /// Offsets of the inputs `execute` writes, in entry-point order.
+    inputs: Vec<usize>,
+    /// Offset of the output: the pooled map, or `dx` for a backward.
+    out: usize,
+    /// Offset of the argmax mask output.
+    mask: Option<usize>,
+}
+
+impl Plan {
+    /// Walk the tuner's ranking: the first candidate that lowers runs;
+    /// candidates that fail before it are declined (booked as tuner
+    /// fallbacks, never a silent re-rank); the later lowerable candidates
+    /// are kept to certify the run against. A ranking with no lowerable
+    /// candidate surfaces the last lowering error.
+    fn dispatch(
+        &mut self,
+        choice: AlgorithmChoice,
+        mut lower: impl FnMut(Algorithm) -> Result<(Vec<Program>, PartitionAxis), LowerError>,
+    ) -> Result<(), LowerError> {
+        for pred in &choice.ranking {
+            match (lower(pred.algorithm), self.algorithm) {
+                (Ok((programs, _)), Some(_)) => self.alternatives.push(programs),
+                (Ok((programs, axis)), None) => {
+                    (self.programs, self.axis) = (programs, axis);
+                    self.algorithm = Some(pred.algorithm);
+                }
+                (Err(e), None) => self.declines.push(Decline::Candidate(pred.algorithm, e)),
+                (Err(_), Some(_)) => {}
+            }
+        }
+        self.ranking = choice.ranking;
+        if self.algorithm.is_some() {
+            return Ok(());
+        }
+        // Nothing lowered: surface the last candidate's error.
+        Err(match self.declines.pop() {
+            Some(Decline::Candidate(_, e)) => e,
+            _ => LowerError::Unsupported("auto-tuner found no feasible algorithm".into()),
+        })
+    }
 }
 
 impl PoolingEngine {
@@ -229,14 +338,6 @@ impl PoolingEngine {
         sched
     }
 
-    fn parallel(&self) -> usize {
-        if self.split_bands {
-            self.chip.cores
-        } else {
-            1
-        }
-    }
-
     /// The chip's shared L2/HBM bandwidth, if it models one — what the
     /// tuner's and partitioner's contention multipliers price against.
     pub fn shared_bandwidth(&self) -> Option<u64> {
@@ -252,353 +353,235 @@ impl PoolingEngine {
         }
     }
 
-    /// Walk a tuner ranking: the first candidate that lowers is
-    /// dispatched; candidates that fail to lower before it are counted
-    /// as typed fallbacks; the remaining lowerable candidates are kept
-    /// for post-run certification. An empty (or fully infeasible)
-    /// ranking surfaces the last lowering error.
-    fn dispatch_ranked(
-        choice: &crate::schedule::AlgorithmChoice,
-        mut lower: impl FnMut(Algorithm) -> Result<Vec<Program>, LowerError>,
-    ) -> Result<Tuned, LowerError> {
-        let mut fallbacks = 0u64;
-        let mut chosen: Option<Vec<Program>> = None;
-        let mut alternatives = Vec::new();
-        let mut last_err: Option<LowerError> = None;
-        for pred in &choice.ranking {
-            match lower(pred.algorithm) {
-                Ok(ps) => {
-                    if chosen.is_none() {
-                        chosen = Some(ps);
-                    } else {
-                        alternatives.push(ps);
-                    }
-                }
-                Err(e) => {
-                    if chosen.is_none() {
-                        // The predicted winner could not be lowered: a
-                        // typed decline, never a silent re-rank.
-                        fallbacks += 1;
-                    }
-                    last_err = Some(e);
-                }
+    /// Plan `op` on `prob`: lay the tensors out in GM, decide the
+    /// algorithm, partition axis, batch fold, band split and shards in
+    /// the precedence the [module docs](self) list, and lower the
+    /// programs. The only place the engine calls a `choose_*` cost model
+    /// or a `build_*` lowering.
+    pub fn plan(&self, op: OpKind, prob: &PoolProblem) -> Result<Plan, LowerError> {
+        use PartitionAxis::{PerC1, PerPlane, PerRowBand};
+        let (caps, cores, sched) = (self.chip.caps, self.chip.cores, self.schedule());
+        let bandwidth = self.shared_bandwidth();
+        let mut gm = GmArena::new();
+        let argmax = matches!(op, OpKind::MaxForwardArgmax(_));
+        let (inputs, out, mask) = match op {
+            OpKind::MaxBackward(_) => {
+                let inputs = vec![gm.alloc(prob.mask_bytes()), gm.alloc(prob.out_bytes())];
+                (inputs, gm.alloc(prob.in_bytes()), None)
             }
-        }
-        match chosen {
-            Some(programs) => Ok(Tuned {
-                programs,
-                alternatives,
-                fallbacks,
-            }),
-            None => Err(last_err.unwrap_or_else(|| {
-                LowerError::Unsupported("auto-tuner found no feasible algorithm".into())
-            })),
-        }
-    }
-
-    /// Auto-tuned forward dispatch: rank the algorithm families, lower
-    /// the winner (falling through the ranking on typed declines), and
-    /// keep the rejected alternatives for certification.
-    fn tuned_forward(
-        &self,
-        prob: &PoolProblem,
-        reduction: Reduction,
-        gm_in: usize,
-        gm_out: usize,
-        gm_mask: Option<usize>,
-    ) -> Result<Tuned, LowerError> {
-        let is_avg = matches!(reduction, Reduction::Sum { .. });
-        let choice = choose_forward_algorithm(
-            prob,
-            gm_mask.is_some(),
-            is_avg,
-            self.chip.cores,
-            &self.schedule(),
-            self.chip.caps,
-            self.shared_bandwidth(),
-        );
-        Self::dispatch_ranked(&choice, |algo| match algo {
-            Algorithm::Fold => build_forward_batched(
-                prob,
-                reduction,
-                gm_in,
-                gm_out,
-                gm_mask,
-                self.chip.caps,
-                self.schedule(),
+            OpKind::AvgBackward(_) => (
+                vec![gm.alloc(prob.out_bytes())],
+                gm.alloc(prob.in_bytes()),
+                None,
             ),
-            _ => match gm_mask {
-                Some(m) => build_forward_with_argmax_parallel(
-                    prob,
-                    algo.forward_impl(),
-                    gm_in,
+            _ => {
+                let (gm_in, gm_out) = (gm.alloc(prob.in_bytes()), gm.alloc(prob.out_bytes()));
+                (
+                    vec![gm_in],
                     gm_out,
-                    m,
-                    self.chip.caps,
-                    1,
-                    self.schedule(),
-                ),
-                None => build_forward_parallel(
-                    prob,
-                    algo.forward_impl(),
-                    reduction,
-                    gm_in,
-                    gm_out,
-                    self.chip.caps,
-                    1,
-                    self.schedule(),
-                ),
-            },
-        })
-    }
-
-    /// Auto-tuned backward dispatch: rank the merge families and lower
-    /// the winner. Batch folding stays the engine's occupancy-gated
-    /// consolidation (identical per-plane streams either way).
-    fn tuned_backward(
-        &self,
-        prob: &PoolProblem,
-        source: BackwardSource,
-        gm_grad: usize,
-        gm_dx: usize,
-    ) -> Result<Tuned, LowerError> {
-        let masked = matches!(source, BackwardSource::MaxMask { .. });
-        let choice = choose_backward_algorithm(
-            prob,
-            masked,
-            self.chip.cores,
-            &self.schedule(),
-            self.chip.caps,
-            self.shared_bandwidth(),
-        );
-        Self::dispatch_ranked(&choice, |algo| {
-            let merge = algo.merge_impl();
-            if self.fold_batches(prob) {
-                build_backward_batched(
-                    prob,
-                    merge,
-                    source,
-                    gm_grad,
-                    gm_dx,
-                    self.chip.caps,
-                    self.schedule(),
+                    argmax.then(|| gm.alloc(prob.mask_bytes())),
                 )
-            } else {
-                build_backward(
-                    prob,
-                    merge,
-                    source,
-                    gm_grad,
-                    gm_dx,
-                    self.chip.caps,
-                    self.schedule(),
-                )
-            }
-        })
-    }
-
-    /// Post-run honesty booking: surface every decline the tuner took
-    /// and certify the dispatched winner against each rejected
-    /// alternative's cycle floor. A floor the measured cycles exceed
-    /// means the predicted win cannot be certified — booked as a
-    /// misprediction, never silently dropped.
-    fn book_tuner(&self, run: &mut PoolRun, tuned: &Tuned) {
-        run.total.tuner_fallbacks += tuned.fallbacks;
-        for alt in &tuned.alternatives {
-            if chip_cycle_floor(alt, self.chip.cores, &self.chip.cost) < run.cycles {
-                run.total.tuner_mispredicted += 1;
-            }
-        }
-    }
-
-    /// The partition axis this forward run shards over. With
-    /// [`PoolingEngine::shard`] off the mapping reproduces the legacy
-    /// switches exactly (batch fold if eligible, else band splitting if
-    /// requested, else per-plane). With it on, the Im2col forward asks
-    /// [`choose_partition`]'s multi-core makespan estimate, feeding it
-    /// the chip's shared-bandwidth model so contention-heavy splits are
-    /// priced; non-Im2col forwards have no batched lowering and keep the
-    /// legacy mapping.
-    fn forward_axis(
-        &self,
-        prob: &PoolProblem,
-        impl_: ForwardImpl,
-        with_mask: bool,
-    ) -> PartitionAxis {
-        if self.shard && impl_ == ForwardImpl::Im2col {
-            let axis = choose_partition(
-                prob,
-                with_mask,
-                self.chip.cores,
-                &self.schedule(),
-                self.shared_bandwidth(),
-            );
-            if axis == PartitionAxis::PerC1 && !self.batching {
-                PartitionAxis::PerPlane
-            } else {
-                axis
-            }
-        } else if impl_ == ForwardImpl::Im2col && self.fold_batches(prob) {
-            PartitionAxis::PerC1
-        } else if self.split_bands {
-            PartitionAxis::PerRowBand
-        } else {
-            PartitionAxis::PerPlane
-        }
-    }
-
-    /// The partition axis this backward run shards over: per-plane
-    /// unless cost-model sharding ([`PoolingEngine::shard`]) is on *and*
-    /// [`choose_backward_partition`] predicts a strict sub-plane win.
-    /// Batch folding stays the engine's separate occupancy-gated
-    /// consolidation and is never an axis here.
-    fn backward_axis(&self, prob: &PoolProblem, merge: MergeImpl, masked: bool) -> PartitionAxis {
-        if self.shard {
-            choose_backward_partition(
-                prob,
-                merge,
-                masked,
-                self.chip.cores,
-                &self.schedule(),
-                self.chip.caps,
-                self.shared_bandwidth(),
-            )
-        } else {
-            PartitionAxis::PerPlane
-        }
-    }
-
-    /// Shards per plane a sub-plane backward split uses — the idle-core
-    /// multiple [`choose_backward_partition`] priced.
-    fn backward_shards(&self, prob: &PoolProblem) -> usize {
-        (self.chip.cores / (prob.n * prob.c1)).max(2)
-    }
-
-    /// Lower a sharded backward pass, falling back to the per-plane
-    /// lowering on a typed decline. Returns the programs, the halo
-    /// declarations when the sharded lowering ran, and the decline count
-    /// the caller books as [`dv_sim::HwCounters::tuner_fallbacks`].
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn sharded_backward_or_fallback(
-        &self,
-        prob: &PoolProblem,
-        merge: MergeImpl,
-        source: BackwardSource,
-        gm: &mut GmArena,
-        gm_grad: usize,
-        gm_dx: usize,
-    ) -> Result<(Vec<Program>, Option<Vec<GmDeclaration>>, u64), LowerError> {
-        let shards = self.backward_shards(prob);
-        let gm_staging = gm.alloc(backward_shard_staging_bytes(prob, shards));
-        match build_backward_sharded(
-            prob,
-            merge,
-            source,
-            gm_grad,
-            gm_dx,
-            gm_staging,
-            shards,
-            self.chip.caps,
-            self.schedule(),
-        ) {
-            Ok((programs, decls)) => Ok((programs, Some(decls), 0)),
-            Err(_) => {
-                // Typed decline: run the per-plane schedule the
-                // partitioner compared against, and book the fallback.
-                let programs = build_backward(
-                    prob,
-                    merge,
-                    source,
-                    gm_grad,
-                    gm_dx,
-                    self.chip.caps,
-                    self.schedule(),
-                )?;
-                Ok((programs, None, 1))
-            }
-        }
-    }
-
-    /// How many shares each plane's bands split into under `axis`.
-    fn axis_parallel(&self, axis: PartitionAxis) -> usize {
-        match axis {
-            PartitionAxis::PerRowBand => self.chip.cores,
-            PartitionAxis::PerPlane | PartitionAxis::PerC1 => 1,
-        }
-    }
-
-    /// Whether this run folds the batch dimension: only with `N > 1`,
-    /// never alongside band splitting (which already re-partitions the
-    /// work), and only when dropping from `N * C1` to `C1` programs
-    /// cannot reduce multi-core occupancy.
-    fn fold_batches(&self, prob: &PoolProblem) -> bool {
-        self.batching
-            && prob.n > 1
-            && self.parallel() == 1
-            && (self.chip.cores == 1 || prob.c1 >= self.chip.cores)
-    }
-
-    /// Forward Im2col with batch folding: build the Mode-0 fold, keep it
-    /// only if it issues strictly fewer `Im2Col`s than the per-plane
-    /// schedule would, and otherwise fall back. When the fold itself
-    /// fails to plan, the per-plane schedule is tried; if that also
-    /// fails, the *batched* (typed) error is reported — it carries the
-    /// per-plane cause.
-    fn batched_forward_or_fallback(
-        &self,
-        prob: &PoolProblem,
-        reduction: Reduction,
-        gm_in: usize,
-        gm_out: usize,
-        gm_mask: Option<usize>,
-    ) -> Result<Vec<Program>, LowerError> {
-        let per_plane = || -> Result<Vec<Program>, LowerError> {
-            match gm_mask {
-                Some(m) => build_forward_with_argmax_parallel(
-                    prob,
-                    ForwardImpl::Im2col,
-                    gm_in,
-                    gm_out,
-                    m,
-                    self.chip.caps,
-                    self.parallel(),
-                    self.schedule(),
-                ),
-                None => build_forward_parallel(
-                    prob,
-                    ForwardImpl::Im2col,
-                    reduction,
-                    gm_in,
-                    gm_out,
-                    self.chip.caps,
-                    self.parallel(),
-                    self.schedule(),
-                ),
             }
         };
-        match build_forward_batched(
-            prob,
-            reduction,
-            gm_in,
-            gm_out,
-            gm_mask,
-            self.chip.caps,
-            self.schedule(),
-        ) {
-            Ok(folded) => {
-                let folded_issues: usize = folded.iter().map(|p| p.issue_count("im2col")).sum();
-                let per_plane_issues =
-                    per_plane_im2col_issues(prob, gm_mask.is_some(), self.chip.caps)
-                        .map(|per_c1| per_c1 * prob.c1)
-                        .unwrap_or(usize::MAX);
-                if folded_issues < per_plane_issues {
-                    Ok(folded)
+        let mut plan = Plan {
+            axis: PerPlane,
+            algorithm: None,
+            ranking: Vec::new(),
+            shards: 1,
+            declines: Vec::new(),
+            op,
+            prob: *prob,
+            layout: Layout {
+                size: 0,
+                inputs,
+                out,
+                mask,
+            },
+            programs: Vec::new(),
+            decls: None,
+            alternatives: Vec::new(),
+        };
+        // Without cost-model sharding the batch folds only with `N > 1`,
+        // never alongside band splitting (which already re-partitions the
+        // work), and only when `C1` programs still occupy every core.
+        let fold = self.batching
+            && prob.n > 1
+            && (!self.split_bands || cores == 1)
+            && (cores == 1 || prob.c1 >= cores);
+        match op {
+            OpKind::MaxBackward(merge) | OpKind::AvgBackward(merge) => {
+                let masked = matches!(op, OpKind::MaxBackward(_));
+                let source = match masked {
+                    true => BackwardSource::MaxMask {
+                        gm_mask: plan.layout.inputs[0],
+                    },
+                    false => BackwardSource::AvgUniform {
+                        scale: avg_scale(prob),
+                    },
+                };
+                let gm_grad = plan.layout.inputs[masked as usize];
+                let lower = |merge| match fold {
+                    true => build_backward_batched(prob, merge, source, gm_grad, out, caps, sched)
+                        .map(|ps| (ps, PerC1)),
+                    false => build_backward(prob, merge, source, gm_grad, out, caps, sched)
+                        .map(|ps| (ps, PerPlane)),
+                };
+                if self.auto_tune {
+                    let choice =
+                        choose_backward_algorithm(prob, masked, cores, &sched, caps, bandwidth);
+                    plan.dispatch(choice, |algo| lower(algo.merge_impl()))?;
+                } else if self.shard
+                    && choose_backward_partition(
+                        prob, merge, masked, cores, &sched, caps, bandwidth,
+                    ) == PerRowBand
+                {
+                    // The idle-core multiple the partitioner priced.
+                    let shards = (cores / (prob.n * prob.c1)).max(2);
+                    let staging = gm.alloc(backward_shard_staging_bytes(prob, shards));
+                    match build_backward_sharded(
+                        prob, merge, source, gm_grad, out, staging, shards, caps, sched,
+                    ) {
+                        Ok((programs, decls)) => {
+                            (plan.programs, plan.axis) = (programs, PerRowBand);
+                            plan.decls = Some(decls);
+                        }
+                        Err(e) => {
+                            // Run the per-plane schedule the partitioner
+                            // compared against.
+                            plan.declines.push(Decline::Shard(e));
+                            plan.programs =
+                                build_backward(prob, merge, source, gm_grad, out, caps, sched)?;
+                        }
+                    }
                 } else {
-                    per_plane()
+                    (plan.programs, plan.axis) = lower(merge)?;
                 }
             }
-            Err(batched_err) => per_plane().map_err(|_| batched_err),
+            OpKind::MaxForward(impl_)
+            | OpKind::MaxForwardArgmax(impl_)
+            | OpKind::AvgForward(impl_) => {
+                let reduction = match op {
+                    OpKind::AvgForward(_) => Reduction::Sum {
+                        scale: avg_scale(prob),
+                    },
+                    _ => Reduction::Max,
+                };
+                let gm_in = plan.layout.inputs[0];
+                let lower = |impl_, parallel| {
+                    build_forward_inner(
+                        prob, impl_, reduction, gm_in, out, mask, caps, parallel, sched,
+                    )
+                };
+                let folded =
+                    || build_forward_batched(prob, reduction, gm_in, out, mask, caps, sched);
+                if self.auto_tune {
+                    let avg = matches!(op, OpKind::AvgForward(_));
+                    let choice =
+                        choose_forward_algorithm(prob, argmax, avg, cores, &sched, caps, bandwidth);
+                    plan.dispatch(choice, |algo| match algo {
+                        Algorithm::Fold => folded().map(|ps| (ps, PerC1)),
+                        _ => lower(algo.forward_impl(), 1).map(|ps| (ps, PerPlane)),
+                    })?;
+                } else {
+                    let im2col = impl_ == ForwardImpl::Im2col;
+                    plan.axis = if self.shard && im2col {
+                        match choose_partition(prob, argmax, cores, &sched, bandwidth) {
+                            PerC1 if !self.batching => PerPlane,
+                            axis => axis,
+                        }
+                    } else if im2col && fold {
+                        PerC1
+                    } else if self.split_bands {
+                        PerRowBand
+                    } else {
+                        PerPlane
+                    };
+                    // A fold that issues no fewer `Im2Col`s than it saves,
+                    // or cannot plan, gives way to the per-plane schedule
+                    // (band-split under `split_bands`); when that fails
+                    // too, the fold's typed error carries the cause.
+                    let (fallback, share) = match self.split_bands {
+                        true => (PerRowBand, cores),
+                        false => (PerPlane, 1),
+                    };
+                    plan.programs = match plan.axis {
+                        PerC1 => match folded() {
+                            Ok(programs) => {
+                                let folded: usize =
+                                    programs.iter().map(|p| p.issue_count("im2col")).sum();
+                                let per_plane = per_plane_im2col_issues(prob, argmax, caps)
+                                    .map_or(usize::MAX, |per_c1| per_c1 * prob.c1);
+                                if folded < per_plane {
+                                    programs
+                                } else {
+                                    plan.declines
+                                        .push(Decline::FoldIssues { folded, per_plane });
+                                    plan.axis = fallback;
+                                    lower(ForwardImpl::Im2col, share)?
+                                }
+                            }
+                            Err(e) => match lower(ForwardImpl::Im2col, share) {
+                                Ok(programs) => {
+                                    plan.declines.push(Decline::FoldFailed(e));
+                                    plan.axis = fallback;
+                                    programs
+                                }
+                                Err(_) => return Err(e),
+                            },
+                        },
+                        PerRowBand => lower(impl_, cores)?,
+                        PerPlane => lower(impl_, 1)?,
+                    };
+                }
+            }
         }
+        if plan.axis == PerRowBand {
+            plan.shards = (plan.programs.len() / (prob.n * prob.c1)).max(1);
+        }
+        plan.layout.size = gm.size();
+        Ok(plan)
+    }
+
+    /// Run a plan: write `inputs` (in the entry point's order) into a
+    /// fresh GM image, run the programs, book the plan's declines and the
+    /// tuner's certification, and read the output (and the argmax mask)
+    /// back.
+    fn execute(
+        &self,
+        plan: &Plan,
+        inputs: &[&[F16]],
+    ) -> Result<(Nc1hwc0, Option<PatchTensor>, PoolRun), RunError> {
+        let mut image = vec![0u8; plan.layout.size];
+        for (&offset, data) in plan.layout.inputs.iter().zip(inputs) {
+            write_tensor(&mut image, offset, data);
+        }
+        let mut run = match &plan.decls {
+            Some(decls) => self.chip.run_declared(&mut image, &plan.programs, decls)?,
+            None => self.chip.run(&mut image, &plan.programs)?,
+        };
+        run.total.tuner_fallbacks += plan.declines.iter().filter(|d| d.booked()).count() as u64;
+        // Certify the tuner's win: a rejected alternative whose cycle
+        // floor sits below the measured cycles is a misprediction, never
+        // silently dropped.
+        run.total.tuner_mispredicted += plan
+            .alternatives
+            .iter()
+            .filter(|alt| chip_cycle_floor(alt, self.chip.cores, &self.chip.cost) < run.cycles)
+            .count() as u64;
+        let prob = &plan.prob;
+        let (h, w) = match plan.op {
+            OpKind::MaxBackward(_) | OpKind::AvgBackward(_) => (prob.ih, prob.iw),
+            _ => prob.out_dims(),
+        };
+        let (n, c1, kh, kw) = (prob.n, prob.c1, prob.params.kh, prob.params.kw);
+        let data = read_f16s(&image, plan.layout.out, n * c1 * h * w * C0);
+        let out = Nc1hwc0::from_vec(n, c1, h, w, data).expect("engine-produced shape");
+        let mask = plan.layout.mask.map(|m| {
+            let (oh, ow) = prob.out_dims();
+            let data = read_f16s(&image, m, n * c1 * kh * kw * oh * ow * C0);
+            PatchTensor::from_vec(n, c1, kh, kw, oh, ow, data).expect("engine-produced shape")
+        });
+        Ok((out, mask, run))
     }
 
     fn problem(input: &Nc1hwc0, params: PoolParams) -> Result<PoolProblem, LowerError> {
@@ -613,41 +596,8 @@ impl PoolingEngine {
         params: PoolParams,
         impl_: ForwardImpl,
     ) -> Result<(Nc1hwc0, PoolRun), RunError> {
-        let prob = Self::problem(input, params)?;
-        let mut gm = GmArena::new();
-        let gm_in = gm.alloc(prob.in_bytes());
-        let gm_out = gm.alloc(prob.out_bytes());
-        let (programs, tuned) = if self.auto_tune {
-            let t = self.tuned_forward(&prob, Reduction::Max, gm_in, gm_out, None)?;
-            (Vec::new(), Some(t))
-        } else {
-            let ps = match self.forward_axis(&prob, impl_, false) {
-                PartitionAxis::PerC1 => {
-                    self.batched_forward_or_fallback(&prob, Reduction::Max, gm_in, gm_out, None)?
-                }
-                axis => build_forward_parallel(
-                    &prob,
-                    impl_,
-                    Reduction::Max,
-                    gm_in,
-                    gm_out,
-                    self.chip.caps,
-                    self.axis_parallel(axis),
-                    self.schedule(),
-                )?,
-            };
-            (ps, None)
-        };
-        let mut image = vec![0u8; gm.size()];
-        write_tensor(&mut image, gm_in, input.data());
-        let mut run = self.chip.run(
-            &mut image,
-            tuned.as_ref().map_or(&programs, |t| &t.programs),
-        )?;
-        if let Some(t) = &tuned {
-            self.book_tuner(&mut run, t);
-        }
-        let out = read_plane_tensor(&image, gm_out, &prob);
+        let plan = self.plan(OpKind::MaxForward(impl_), &Self::problem(input, params)?)?;
+        let (out, _, run) = self.execute(&plan, &[input.data()])?;
         Ok((out, run))
     }
 
@@ -659,47 +609,9 @@ impl PoolingEngine {
         impl_: ForwardImpl,
     ) -> Result<(Nc1hwc0, PatchTensor, PoolRun), RunError> {
         let prob = Self::problem(input, params)?;
-        let mut gm = GmArena::new();
-        let gm_in = gm.alloc(prob.in_bytes());
-        let gm_out = gm.alloc(prob.out_bytes());
-        let gm_mask = gm.alloc(prob.mask_bytes());
-        let (programs, tuned) = if self.auto_tune {
-            let t = self.tuned_forward(&prob, Reduction::Max, gm_in, gm_out, Some(gm_mask))?;
-            (Vec::new(), Some(t))
-        } else {
-            let ps = match self.forward_axis(&prob, impl_, true) {
-                PartitionAxis::PerC1 => self.batched_forward_or_fallback(
-                    &prob,
-                    Reduction::Max,
-                    gm_in,
-                    gm_out,
-                    Some(gm_mask),
-                )?,
-                axis => build_forward_with_argmax_parallel(
-                    &prob,
-                    impl_,
-                    gm_in,
-                    gm_out,
-                    gm_mask,
-                    self.chip.caps,
-                    self.axis_parallel(axis),
-                    self.schedule(),
-                )?,
-            };
-            (ps, None)
-        };
-        let mut image = vec![0u8; gm.size()];
-        write_tensor(&mut image, gm_in, input.data());
-        let mut run = self.chip.run(
-            &mut image,
-            tuned.as_ref().map_or(&programs, |t| &t.programs),
-        )?;
-        if let Some(t) = &tuned {
-            self.book_tuner(&mut run, t);
-        }
-        let out = read_plane_tensor(&image, gm_out, &prob);
-        let mask = read_mask_tensor(&image, gm_mask, &prob);
-        Ok((out, mask, run))
+        let plan = self.plan(OpKind::MaxForwardArgmax(impl_), &prob)?;
+        let (out, mask, run) = self.execute(&plan, &[input.data()])?;
+        Ok((out, mask.expect("argmax plans place a mask"), run))
     }
 
     /// MaxPool backward (Fig. 7c): scatter the masked gradients back to
@@ -714,69 +626,9 @@ impl PoolingEngine {
         merge: MergeImpl,
     ) -> Result<(Nc1hwc0, PoolRun), RunError> {
         let prob = PoolProblem::new(mask.n, mask.c1, ih, iw, params)?;
-        let (oh, ow) = prob.out_dims();
-        if (mask.oh, mask.ow) != (oh, ow) || (gradients.h, gradients.w) != (oh, ow) {
-            return Err(RunError::Lower(LowerError::Shape(
-                dv_tensor::ShapeError::Mismatch(format!(
-                    "mask {:?} / gradients {:?} do not match derived patch grid {:?}",
-                    (mask.oh, mask.ow),
-                    (gradients.h, gradients.w),
-                    (oh, ow)
-                )),
-            )));
-        }
-        let mut gm = GmArena::new();
-        let gm_mask = gm.alloc(prob.mask_bytes());
-        let gm_grad = gm.alloc(prob.out_bytes());
-        let gm_dx = gm.alloc(prob.in_bytes());
-        let source = BackwardSource::MaxMask { gm_mask };
-        let mut decls: Option<Vec<GmDeclaration>> = None;
-        let mut declined = 0u64;
-        let (programs, tuned) = if self.auto_tune {
-            let t = self.tuned_backward(&prob, source, gm_grad, gm_dx)?;
-            (Vec::new(), Some(t))
-        } else if self.backward_axis(&prob, merge, true) == PartitionAxis::PerRowBand {
-            let (ps, ds, d) =
-                self.sharded_backward_or_fallback(&prob, merge, source, &mut gm, gm_grad, gm_dx)?;
-            decls = ds;
-            declined = d;
-            (ps, None)
-        } else if self.fold_batches(&prob) {
-            let ps = build_backward_batched(
-                &prob,
-                merge,
-                source,
-                gm_grad,
-                gm_dx,
-                self.chip.caps,
-                self.schedule(),
-            )?;
-            (ps, None)
-        } else {
-            let ps = build_backward(
-                &prob,
-                merge,
-                source,
-                gm_grad,
-                gm_dx,
-                self.chip.caps,
-                self.schedule(),
-            )?;
-            (ps, None)
-        };
-        let mut image = vec![0u8; gm.size()];
-        write_tensor(&mut image, gm_mask, mask.data());
-        write_tensor(&mut image, gm_grad, gradients.data());
-        let ps = tuned.as_ref().map_or(&programs, |t| &t.programs);
-        let mut run = match &decls {
-            Some(d) => self.chip.run_declared(&mut image, ps, d)?,
-            None => self.chip.run(&mut image, ps)?,
-        };
-        if let Some(t) = &tuned {
-            self.book_tuner(&mut run, t);
-        }
-        run.total.tuner_fallbacks += declined;
-        let dx = read_input_tensor(&image, gm_dx, &prob);
+        check_backward(&prob, gradients, Some(mask))?;
+        let plan = self.plan(OpKind::MaxBackward(merge), &prob)?;
+        let (dx, _, run) = self.execute(&plan, &[mask.data(), gradients.data()])?;
         Ok((dx, run))
     }
 
@@ -835,48 +687,8 @@ impl PoolingEngine {
         params: PoolParams,
         impl_: ForwardImpl,
     ) -> Result<(Nc1hwc0, PoolRun), RunError> {
-        let prob = Self::problem(input, params)?;
-        let mut gm = GmArena::new();
-        let gm_in = gm.alloc(prob.in_bytes());
-        let gm_out = gm.alloc(prob.out_bytes());
-        let (programs, tuned) = if self.auto_tune {
-            let scale = crate::avgpool::avg_scale(&prob);
-            let t = self.tuned_forward(&prob, Reduction::Sum { scale }, gm_in, gm_out, None)?;
-            (Vec::new(), Some(t))
-        } else {
-            let ps = match self.forward_axis(&prob, impl_, false) {
-                PartitionAxis::PerC1 => {
-                    let scale = crate::avgpool::avg_scale(&prob);
-                    self.batched_forward_or_fallback(
-                        &prob,
-                        Reduction::Sum { scale },
-                        gm_in,
-                        gm_out,
-                        None,
-                    )?
-                }
-                axis => build_avgpool_forward_parallel(
-                    &prob,
-                    impl_,
-                    gm_in,
-                    gm_out,
-                    self.chip.caps,
-                    self.axis_parallel(axis),
-                    self.schedule(),
-                )?,
-            };
-            (ps, None)
-        };
-        let mut image = vec![0u8; gm.size()];
-        write_tensor(&mut image, gm_in, input.data());
-        let mut run = self.chip.run(
-            &mut image,
-            tuned.as_ref().map_or(&programs, |t| &t.programs),
-        )?;
-        if let Some(t) = &tuned {
-            self.book_tuner(&mut run, t);
-        }
-        let out = read_plane_tensor(&image, gm_out, &prob);
+        let plan = self.plan(OpKind::AvgForward(impl_), &Self::problem(input, params)?)?;
+        let (out, _, run) = self.execute(&plan, &[input.data()])?;
         Ok((out, run))
     }
 
@@ -890,110 +702,43 @@ impl PoolingEngine {
         merge: MergeImpl,
     ) -> Result<(Nc1hwc0, PoolRun), RunError> {
         let prob = PoolProblem::new(gradients.n, gradients.c1, ih, iw, params)?;
-        let (oh, ow) = prob.out_dims();
-        if (gradients.h, gradients.w) != (oh, ow) {
-            return Err(RunError::Lower(LowerError::Shape(
-                dv_tensor::ShapeError::Mismatch(format!(
-                    "gradients {:?} do not match derived patch grid {:?}",
-                    (gradients.h, gradients.w),
-                    (oh, ow)
-                )),
-            )));
-        }
-        let mut gm = GmArena::new();
-        let gm_grad = gm.alloc(prob.out_bytes());
-        let gm_dx = gm.alloc(prob.in_bytes());
-        let source = BackwardSource::AvgUniform {
-            scale: crate::avgpool::avg_scale(&prob),
-        };
-        let mut decls: Option<Vec<GmDeclaration>> = None;
-        let mut declined = 0u64;
-        let (programs, tuned) = if self.auto_tune {
-            let t = self.tuned_backward(&prob, source, gm_grad, gm_dx)?;
-            (Vec::new(), Some(t))
-        } else if self.backward_axis(&prob, merge, false) == PartitionAxis::PerRowBand {
-            let (ps, ds, d) =
-                self.sharded_backward_or_fallback(&prob, merge, source, &mut gm, gm_grad, gm_dx)?;
-            decls = ds;
-            declined = d;
-            (ps, None)
-        } else if self.fold_batches(&prob) {
-            let ps = build_avgpool_backward_batched(
-                &prob,
-                merge,
-                gm_grad,
-                gm_dx,
-                self.chip.caps,
-                self.schedule(),
-            )?;
-            (ps, None)
-        } else {
-            let ps = build_avgpool_backward(
-                &prob,
-                merge,
-                gm_grad,
-                gm_dx,
-                self.chip.caps,
-                self.schedule(),
-            )?;
-            (ps, None)
-        };
-        let mut image = vec![0u8; gm.size()];
-        write_tensor(&mut image, gm_grad, gradients.data());
-        let ps = tuned.as_ref().map_or(&programs, |t| &t.programs);
-        let mut run = match &decls {
-            Some(d) => self.chip.run_declared(&mut image, ps, d)?,
-            None => self.chip.run(&mut image, ps)?,
-        };
-        if let Some(t) = &tuned {
-            self.book_tuner(&mut run, t);
-        }
-        run.total.tuner_fallbacks += declined;
-        let dx = read_input_tensor(&image, gm_dx, &prob);
+        check_backward(&prob, gradients, None)?;
+        let plan = self.plan(OpKind::AvgBackward(merge), &prob)?;
+        let (dx, _, run) = self.execute(&plan, &[gradients.data()])?;
         Ok((dx, run))
     }
 }
 
-fn write_tensor(image: &mut [u8], offset: usize, data: &[dv_fp16::F16]) {
+/// Validate backward inputs the way the reference does: the gradients
+/// (and the mask, for MaxPool) must match the problem's batch, channel
+/// slices, window and derived patch grid.
+fn check_backward(
+    prob: &PoolProblem,
+    gradients: &Nc1hwc0,
+    mask: Option<&PatchTensor>,
+) -> Result<(), LowerError> {
+    let (oh, ow) = prob.out_dims();
+    let (n, c1, kh, kw) = (prob.n, prob.c1, prob.params.kh, prob.params.kw);
+    let grads = (gradients.n, gradients.c1, gradients.h, gradients.w);
+    let mask = mask.map(|m| (m.n, m.c1, m.kh, m.kw, m.oh, m.ow));
+    if grads == (n, c1, oh, ow) && mask.is_none_or(|m| m == (n, c1, kh, kw, oh, ow)) {
+        return Ok(());
+    }
+    Err(LowerError::Shape(ShapeError::Mismatch(format!(
+        "gradients (N, C1, Oh, Ow) {grads:?} / mask (N, C1, Kh, Kw, Oh, Ow) {mask:?} \
+         do not match the problem's {:?}",
+        (n, c1, kh, kw, oh, ow)
+    ))))
+}
+
+fn write_tensor(image: &mut [u8], offset: usize, data: &[F16]) {
     let bytes = dv_fp16::as_bytes(data);
     image[offset..offset + bytes.len()].copy_from_slice(bytes);
 }
 
-fn read_f16s(image: &[u8], offset: usize, len: usize) -> Vec<dv_fp16::F16> {
-    (0..len)
-        .map(|i| {
-            let o = offset + i * 2;
-            dv_fp16::F16::from_bits(u16::from_le_bytes([image[o], image[o + 1]]))
-        })
+fn read_f16s(image: &[u8], offset: usize, len: usize) -> Vec<F16> {
+    let bytes = image[offset..offset + 2 * len].chunks_exact(2);
+    bytes
+        .map(|b| F16::from_bits(u16::from_le_bytes([b[0], b[1]])))
         .collect()
-}
-
-/// Read the output tensor `(N, C1, Oh, Ow, C0)`.
-fn read_plane_tensor(image: &[u8], offset: usize, prob: &PoolProblem) -> Nc1hwc0 {
-    let (oh, ow) = prob.out_dims();
-    let data = read_f16s(image, offset, prob.n * prob.c1 * oh * ow * C0);
-    Nc1hwc0::from_vec(prob.n, prob.c1, oh, ow, data).expect("engine-produced shape")
-}
-
-/// Read the input-shaped tensor `(N, C1, Ih, Iw, C0)`.
-fn read_input_tensor(image: &[u8], offset: usize, prob: &PoolProblem) -> Nc1hwc0 {
-    let data = read_f16s(image, offset, prob.n * prob.c1 * prob.ih * prob.iw * C0);
-    Nc1hwc0::from_vec(prob.n, prob.c1, prob.ih, prob.iw, data).expect("engine-produced shape")
-}
-
-/// Read the argmax mask `(N, C1, Kh, Kw, Oh, Ow, C0)`.
-fn read_mask_tensor(image: &[u8], offset: usize, prob: &PoolProblem) -> PatchTensor {
-    let (oh, ow) = prob.out_dims();
-    let len = prob.n * prob.c1 * prob.params.kh * prob.params.kw * oh * ow * C0;
-    let data = read_f16s(image, offset, len);
-    PatchTensor::from_vec(
-        prob.n,
-        prob.c1,
-        prob.params.kh,
-        prob.params.kw,
-        oh,
-        ow,
-        data,
-    )
-    .expect("engine-produced shape")
 }

@@ -1053,7 +1053,7 @@ mod tests {
             PartitionAxis::PerPlane
         );
         // Single core: occupancy is moot, the fold's consolidation wins
-        // (matches the legacy fold_batches gate).
+        // (matches the engine's unsharded fold gate).
         assert_eq!(
             choose_partition(&prob(4, 2, 36), false, 1, &sched, None),
             PartitionAxis::PerC1

@@ -585,6 +585,55 @@ fn engine_rejects_mismatched_backward_shapes() {
 }
 
 #[test]
+fn engine_rejects_backward_inputs_the_reference_rejects() {
+    use dv_core::{LowerError, RunError};
+    use dv_tensor::ShapeError;
+    let is_mismatch = |r: Result<(Nc1hwc0, dv_core::PoolRun), RunError>| {
+        matches!(
+            r,
+            Err(RunError::Lower(LowerError::Shape(ShapeError::Mismatch(_))))
+        )
+    };
+    // A 9x9 K3S2 mask over one channel slice: a 4x4 patch grid.
+    let params = PoolParams::K3S2;
+    let input = test_input(1, 1, 9, 9, 49);
+    let mask = reference::maxpool_argmax_mask(&input, &params).unwrap();
+    let eng = engine();
+    // Gradients over more channel slices than the mask: a wrong-shaped
+    // dx (C1 = 4) or an out-of-bounds GM write (C1 = 64).
+    for c1 in [4, 64] {
+        let grads = int_grads(1, c1, 4, 4, 50);
+        for merge in [MergeImpl::VAdd, MergeImpl::Col2Im] {
+            let r = eng.maxpool_backward(&mask, &grads, params, 9, 9, merge);
+            assert!(is_mismatch(r), "C1={c1} gradients vs C1=1 mask ({merge:?})");
+        }
+    }
+    // A K3 mask with K2S2 params: the same 4x4 grid, the wrong window.
+    let grads = int_grads(1, 1, 4, 4, 51);
+    let r = eng.maxpool_backward(&mask, &grads, PoolParams::K2S2, 9, 9, MergeImpl::Col2Im);
+    assert!(is_mismatch(r), "K3 mask under K2S2 params");
+    // The reference rejects the same inputs.
+    let bad = int_grads(1, 4, 4, 4, 52);
+    assert!(reference::maxpool_backward(&mask, &bad, &params, 9, 9).is_err());
+}
+
+#[test]
+fn xysplit_avgpool_lowering_is_unsupported() {
+    // The split re-associates the f16 sum, so the builder itself must
+    // refuse it, not only the AvgPool wrapper.
+    use dv_core::maxpool::{build_forward_parallel, Reduction};
+    use dv_core::{LowerError, PoolProblem, Schedule};
+    let prob = PoolProblem::new(1, 1, 9, 9, PoolParams::K3S2).unwrap();
+    let sum = Reduction::Sum {
+        scale: F16::from_f32(1.0 / 9.0),
+    };
+    let caps = Capacities::ASCEND910;
+    let sched = Schedule::default();
+    let r = build_forward_parallel(&prob, ForwardImpl::XYSplit, sum, 0, 4096, caps, 1, sched);
+    assert!(matches!(r, Err(LowerError::Unsupported(_))), "{r:?}");
+}
+
+#[test]
 fn engine_rejects_impossible_geometry() {
     let eng = engine();
     let input = test_input(1, 1, 2, 2, 46);

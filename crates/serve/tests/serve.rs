@@ -5,9 +5,10 @@
 
 use dv_core::{ForwardImpl, MergeImpl, PoolingEngine};
 use dv_fp16::F16;
-use dv_serve::{run_job, JobOp, JobSpec, ServeError, Server};
+use dv_serve::{run_job, JobHandle, JobOp, JobResult, JobSpec, ServeError, Server};
 use dv_sim::{Backend, Chip, CostModel};
-use dv_tensor::{Nc1hwc0, PoolParams};
+use dv_tensor::{reference, Nc1hwc0, PoolParams};
+use std::time::{Duration, Instant};
 
 fn input(n: usize, c1: usize, h: usize, w: usize, seed: u32) -> Nc1hwc0 {
     let mut state = seed.wrapping_mul(0x9E37_79B9).wrapping_add(1);
@@ -324,4 +325,46 @@ fn poll_is_nonblocking_and_resolves_once() {
         std::thread::yield_now();
     };
     assert!(result.is_ok());
+}
+
+/// Poll `h` until it resolves; fail instead of hanging when it does not
+/// within 10 s.
+fn wait_bounded(h: &JobHandle) -> Result<JobResult, ServeError> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Some(r) = h.poll() {
+            return r;
+        }
+        assert!(Instant::now() < deadline, "job {} never completed", h.id());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn a_rejected_backward_job_leaves_the_only_worker_serving() {
+    // Gradients over 64 channel slices against a one-slice mask: the
+    // engine must reject the job with a typed error rather than panic
+    // and take the pool's only worker (and every later job) down.
+    let server = Server::new(1);
+    let x = input(1, 1, 9, 9, 61);
+    let params = PoolParams::K3S2;
+    let mask = reference::maxpool_argmax_mask(&x, &params).unwrap();
+    let bad = server.submit(JobSpec::new(
+        x.clone(),
+        params,
+        JobOp::MaxBackward {
+            merge: MergeImpl::Col2Im,
+            mask,
+            gradients: input(1, 64, 4, 4, 62),
+        },
+    ));
+    let good = server.submit(JobSpec::new(
+        x,
+        params,
+        JobOp::MaxForward(ForwardImpl::Im2col),
+    ));
+    let r = wait_bounded(&bad);
+    assert!(matches!(r, Err(ServeError::Run(_))), "bad job: {r:?}");
+    let r = wait_bounded(&good);
+    assert!(r.is_ok(), "the next valid job failed: {r:?}");
 }

@@ -57,7 +57,7 @@
 //! The fused output is checked bit-exact against the layered pass
 //! before anything is printed.
 
-use davinci_pooling::core::{choose_forward_algorithm, PoolProblem};
+use davinci_pooling::core::{OpKind, PoolProblem};
 use davinci_pooling::prelude::*;
 use davinci_pooling::sim::TraceConfig;
 
@@ -245,32 +245,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = engine.with_auto_tuning(opts.algo == Algo::Auto);
 
     // Under --algo auto the engine ignores this argument and dispatches
-    // the tuner's winner; print the ranking it will decide from.
+    // the tuner's winner; print the plan's ranking and its dispatch.
     let impl_ = match opts.algo {
         Algo::Direct => ForwardImpl::Standard,
         _ => ForwardImpl::Im2col,
     };
     if opts.algo == Algo::Auto {
         let prob = PoolProblem::new(opts.batch, input.c1, ih, iw, params)?;
-        let shared = match engine.chip.memory {
-            MemoryModel::SharedBandwidth { bytes_per_cycle }
-            | MemoryModel::SharedBandwidthL2 {
-                bytes_per_cycle, ..
-            } => Some(bytes_per_cycle),
-            MemoryModel::Independent => None,
-        };
-        let choice = choose_forward_algorithm(
-            &prob,
-            false,
-            false,
-            engine.chip.cores,
-            &engine.schedule(),
-            engine.chip.caps,
-            shared,
-        );
+        let plan = engine.plan(OpKind::MaxForward(impl_), &prob)?;
         println!("auto-tuner ranking (predicted cycles):");
-        for p in &choice.ranking {
+        for p in &plan.ranking {
             println!("  {:<8} {:>9}", p.algorithm.label(), p.cycles);
+        }
+        if let Some(algo) = plan.algorithm {
+            println!("dispatched: {} ({:?})", algo.label(), plan.axis);
         }
         println!();
     }
